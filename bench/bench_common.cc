@@ -312,11 +312,12 @@ sim::ReplayResult RunCache(core::CacheKind kind, const trace::Trace& trace,
 }
 
 std::vector<sim::ReplayResult> RunCacheJobs(const std::vector<CacheJob>& jobs,
-                                            const BenchFlags& flags, BenchObs* obs) {
+                                            const BenchFlags& flags, BenchObs* obs,
+                                            uint64_t* digest_out) {
   std::vector<sim::FleetServer> servers;
   servers.reserve(jobs.size());
   for (const CacheJob& job : jobs) {
-    servers.push_back(sim::FleetServer{job.name, job.kind, job.config, job.trace});
+    servers.push_back(sim::FleetServer{job.name, job.kind, job.config, job.trace, {}});
   }
 
   sim::FleetResult fleet;
@@ -344,6 +345,9 @@ std::vector<sim::ReplayResult> RunCacheJobs(const std::vector<CacheJob>& jobs,
               flags.repeat > 1 ? (" (last of " + std::to_string(flags.repeat) + " repeats)").c_str()
                                : "",
               static_cast<unsigned long long>(digest));
+  if (digest_out != nullptr) {
+    *digest_out = digest;
+  }
   return std::move(fleet.servers);
 }
 

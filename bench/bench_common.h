@@ -207,10 +207,11 @@ struct CacheJob {
 // Replays the jobs as a sim::RunFleet fleet across flags.threads workers,
 // flags.repeat times (the repeats must agree on the FleetDigest; only the
 // last one records into `obs`). Prints a one-line summary -- wall seconds,
-// thread count, digest -- and returns the per-job results in job order,
-// identical for any thread count.
+// thread count, digest -- stores the digest in `digest` when non-null, and
+// returns the per-job results in job order, identical for any thread count.
 std::vector<sim::ReplayResult> RunCacheJobs(const std::vector<CacheJob>& jobs,
-                                            const BenchFlags& flags, BenchObs* obs = nullptr);
+                                            const BenchFlags& flags, BenchObs* obs = nullptr,
+                                            uint64_t* digest = nullptr);
 
 // Process memory readout from /proc/self/status, in MiB. peak_rss_mb
 // (VmHWM) is the high-water mark since process start -- the scale sweep's

@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
                                    core::CacheKind::kPsychic};
   for (size_t s = 0; s < profiles.size(); ++s) {
     for (core::CacheKind kind : kinds) {
-      servers.push_back(sim::FleetServer{profiles[s].name, kind, config, &traces[s]});
+      servers.push_back(sim::FleetServer{profiles[s].name, kind, config, &traces[s], {}});
     }
   }
 

@@ -328,7 +328,10 @@ int main(int argc, char** argv) {
   meta.batch = flags.batch;
   std::string scales_label;
   for (size_t i = 0; i < scales.size(); ++i) {
-    scales_label += (i > 0 ? "," : "") + FormatScale(scales[i]);
+    if (i > 0) {
+      scales_label += ",";
+    }
+    scales_label += FormatScale(scales[i]);
   }
   out << "{\n"
       << "  \"bench\": \"bench_scale_sweep\",\n"

@@ -21,12 +21,10 @@
 // moment its last chunk is erased (matching the "erase the set when empty"
 // idiom of the node-based original).
 //
-// Iteration order within a video is unspecified (insertion-LIFO here,
-// unordered_set order in the reference); consumers must be order-independent
-// -- Cafe only folds a max() over the chunks' IATs.
-//
-// ReferenceChunkSetMap keeps the seed's node-based profile for the
-// differential tests and the reference cache instantiations.
+// Iteration order within a video is unspecified (insertion-LIFO); consumers
+// must be order-independent -- Cafe only folds a max() over the chunks'
+// IATs. container_flat_differential_test checks it against an
+// unordered_map of unordered_sets through seeded mixed operations.
 //
 // Not thread-safe; replay shards each own their instances.
 
@@ -35,11 +33,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
-#include "src/container/fast_hash.h"
 #include "src/container/flat_index.h"
 #include "src/util/check.h"
 
@@ -64,9 +59,6 @@ class FlatChunkSetMap {
   // Mixed 32-bit hash of `video`; matches FlatIndex::HashOf for the same key
   // and hasher, so callers sharing keys across containers hash once.
   uint32_t HashOf(uint64_t video) const { return index_.HashOf(video); }
-
-  // Prefetches the index bucket for `video`'s entry. Pure hint.
-  void PrefetchVideo(uint32_t hash) const { index_.PrefetchBucket(hash); }
 
   // Records `chunk` as cached for `video`. The chunk must not already be
   // present (Cafe only inserts chunks that just transitioned to cached).
@@ -198,67 +190,6 @@ class FlatChunkSetMap {
   FlatIndex<uint64_t> index_;  // std::hash: MixU64 finalizes identity keys
   uint32_t entry_free_ = kNil;
   uint32_t node_free_ = kNil;
-};
-
-// The seed's node-based shape (unordered_map of unordered_sets), presented
-// through the FlatChunkSetMap API for the reference cache instantiations and
-// the differential tests. Hash parameters are ignored (parity overloads).
-class ReferenceChunkSetMap {
- public:
-  void Reserve(size_t chunks) { (void)chunks; }
-
-  size_t video_count() const { return map_.size(); }
-
-  uint32_t HashOf(uint64_t video) const { return static_cast<uint32_t>(MixU64(video)); }
-  void PrefetchVideo(uint32_t hash) const { (void)hash; }
-
-  void Insert(uint64_t video, uint32_t chunk) { map_[video].insert(chunk); }
-  void Insert(uint64_t video, uint32_t chunk, uint32_t hash) {
-    (void)hash;
-    Insert(video, chunk);
-  }
-
-  void Erase(uint64_t video, uint32_t chunk) {
-    auto it = map_.find(video);
-    VCDN_DCHECK(it != map_.end());
-    it->second.erase(chunk);
-    if (it->second.empty()) {
-      map_.erase(it);
-    }
-  }
-  void Erase(uint64_t video, uint32_t chunk, uint32_t hash) {
-    (void)hash;
-    Erase(video, chunk);
-  }
-
-  template <typename Fn>
-  void ForEach(uint64_t video, Fn&& fn) const {
-    auto it = map_.find(video);
-    if (it == map_.end()) {
-      return;
-    }
-    for (uint32_t chunk : it->second) {
-      fn(chunk);
-    }
-  }
-  template <typename Fn>
-  void ForEach(uint64_t video, uint32_t hash, Fn&& fn) const {
-    (void)hash;
-    ForEach(video, fn);
-  }
-
-  bool Contains(uint64_t video, uint32_t chunk) const {
-    auto it = map_.find(video);
-    return it != map_.end() && it->second.count(chunk) > 0;
-  }
-
-  size_t ChunkCount(uint64_t video) const {
-    auto it = map_.find(video);
-    return it == map_.end() ? 0 : it->second.size();
-  }
-
- private:
-  std::unordered_map<uint64_t, std::unordered_set<uint32_t>, U64Hash> map_;
 };
 
 }  // namespace vcdn::container

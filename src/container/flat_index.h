@@ -65,7 +65,7 @@ class FlatIndex {
   // prefetched line (8-byte buckets, 8 per line).
   void PrefetchBucket(uint32_t hash) const {
     if (!buckets_.empty()) {
-      PrefetchForRead(&buckets_[hash & mask_]);
+      PrefetchLine(&buckets_[hash & mask_]);
     }
   }
 

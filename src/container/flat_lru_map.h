@@ -1,7 +1,7 @@
 // Copyright (c) 2026 libvcdn authors. Apache-2.0 license.
 //
-// FlatLruMap: the allocation-free successor of LruMap (which stays as the
-// reference implementation for the differential tests).
+// FlatLruMap: the allocation-free successor of the node-based LruMap (which
+// survives as the test oracle in tests/lru_map_oracle.h).
 //
 // Same structure as Section 5 of the paper -- a hash map plus a recency
 // list -- but realized as flat, index-linked storage instead of
@@ -19,9 +19,10 @@
 // Disk capacity in chunks is known when a cache is constructed, so callers
 // Reserve() up front and the steady state never rehashes or grows the slab.
 //
-// Semantics are identical to LruMap (list order equals insertion/touch
-// order; the tail is least recently used); the differential test drives both
-// through ~1M mixed operations and asserts equal observable state.
+// Semantics are those of a list + hash map LRU (list order equals
+// insertion/touch order; the tail is least recently used); the differential
+// test drives it and the oracle through ~1M mixed operations and asserts
+// equal observable state.
 //
 // Not thread-safe; replay shards each own one instance (see
 // docs/PARALLELISM.md).
@@ -36,7 +37,6 @@
 #include <vector>
 
 #include "src/container/flat_index.h"
-#include "src/container/prefetch.h"
 #include "src/util/check.h"
 
 namespace vcdn::container {
@@ -78,20 +78,6 @@ class FlatLruMap {
   // same key in several structures can hash once and pass the value to the
   // hash-taking overloads below.
   uint32_t HashOf(const Key& key) const { return index_.HashOf(key); }
-
-  // Prefetches the index bucket a subsequent operation on this key/hash will
-  // probe first. Pure hint (see prefetch.h).
-  void PrefetchSlot(uint32_t hash) const { index_.PrefetchBucket(hash); }
-  void PrefetchSlot(const Key& key) const { index_.PrefetchBucket(index_.HashOf(key)); }
-
-  // Prefetches the least-recently-used slot (what Oldest/PopOldest read
-  // next). The LRU tail is cold by definition, so cleanup scans that poll it
-  // every request benefit the most.
-  void PrefetchOldest() const {
-    if (tail_ != kNil) {
-      PrefetchForRead(&slots_[tail_]);
-    }
-  }
 
   bool Contains(const Key& key) const { return FindSlot(key) != kNil; }
 
@@ -222,7 +208,7 @@ class FlatLruMap {
   }
 
   // Iteration from most-recent to least-recent (read-only). Dereferences to
-  // a Slot, whose .key/.value match LruMap's Entry fields.
+  // a Slot, whose .key/.value match Entry's fields.
   class const_iterator {
    public:
     const_iterator(const FlatLruMap* map, uint32_t pos) : map_(map), pos_(pos) {}

@@ -1,7 +1,7 @@
 // Copyright (c) 2026 libvcdn authors. Apache-2.0 license.
 //
-// ScoreHeap: the flat successor of OrderedKeySet (which stays as the
-// reference implementation; see RefScoreHeap in ordered_key_set.h).
+// ScoreHeap: the flat successor of the node-based OrderedKeySet (which
+// survives as the test oracle in tests/ordered_key_set_oracle.h).
 //
 // Section 6's "binary tree set plus hash map" kept Cafe's virtual timestamps
 // in a red-black std::set -- one node allocation and a pointer-chasing
@@ -17,10 +17,10 @@
 //   * index_   -- FlatIndex id -> handle (open addressing, backshift).
 //
 // Update/Erase are O(log n) sift operations on the index array; Top is O(1).
-// Tie-breaking is deterministic and bit-identical to OrderedKeySet: the
-// min-first heap orders by (score, id) ascending (set begin()), the
-// max-first heap by (score, id) descending (set rbegin()), so eviction
-// victim order -- and therefore every replay total -- is unchanged.
+// Tie-breaking is deterministic and identical to an ordered set of
+// (score, id): the min-first heap orders ascending (set begin()), the
+// max-first heap descending (set rbegin()), so eviction victim order -- and
+// therefore every replay total -- does not depend on the container.
 //
 // Ordered partial traversal (victim selection skips chunks of the current
 // request) is ScanInOrder: an auxiliary heap over heap positions yields
@@ -40,7 +40,6 @@
 #include <vector>
 
 #include "src/container/flat_index.h"
-#include "src/container/prefetch.h"
 #include "src/util/check.h"
 
 namespace vcdn::container {
@@ -66,18 +65,6 @@ class ScoreHeap {
   // container instantiated with the same Id/Hash (hash once, reuse
   // everywhere).
   uint32_t HashOf(const Id& id) const { return index_.HashOf(id); }
-
-  // Prefetches the index bucket a subsequent operation on this id/hash will
-  // probe first. Pure hint (see prefetch.h).
-  void PrefetchEntry(uint32_t hash) const { index_.PrefetchBucket(hash); }
-  void PrefetchEntry(const Id& id) const { index_.PrefetchBucket(index_.HashOf(id)); }
-
-  // Prefetches the top node (what Top/PopTop/ScanInOrder read next).
-  void PrefetchTop() const {
-    if (!heap_.empty()) {
-      PrefetchForRead(&nodes_[heap_[0]]);
-    }
-  }
 
   bool Contains(const Id& id) const { return FindNode(id) != kNil; }
 

@@ -91,8 +91,8 @@ RequestOutcome FillLfuCache::HandleRequestImpl(const trace::Request& request) {
     // fresh fill (count exactly 1) ties at worst and id-order tie-breaking
     // cannot evict a chunk inserted in this same loop... except pathological
     // id ties; skip current-request chunks defensively. Collecting the
-    // victims in one ordered scan is equivalent to the reference's
-    // erase-min-per-round loop: erasing a victim does not reorder the rest.
+    // victims in one ordered scan is equivalent to an erase-min-per-round
+    // loop: erasing a victim does not reorder the rest.
     std::vector<ChunkId>& victims = victims_scratch_;
     victims.clear();
     cached_.ScanInOrder([&](const auto& item) {

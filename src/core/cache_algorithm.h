@@ -94,10 +94,9 @@ class CacheAlgorithm {
 
   // Handles `count` consecutive, time-ordered requests through one virtual
   // dispatch. Observably identical to calling HandleRequest on each request
-  // in order -- batching is a scheduling change, never a semantics change --
-  // but lets an algorithm overlap independent memory accesses across the
-  // batch (see CafeCacheT's software-pipelined override). `outcomes` must
-  // hold at least `count` entries.
+  // in order -- batching is a scheduling change, never a semantics change.
+  // Callers that drain queues (sim::Replay, the edge daemon's strands) pay
+  // one dispatch per batch. `outcomes` must hold at least `count` entries.
   void HandleRequestBatch(const trace::Request* requests, size_t count,
                           RequestOutcome* outcomes) {
     HandleRequestBatchImpl(requests, count, outcomes);
@@ -199,9 +198,9 @@ class CacheAlgorithm {
   virtual RequestOutcome HandleRequestImpl(const trace::Request& request) = 0;
 
   // Batched counterpart of HandleRequestImpl. The default loops, so every
-  // algorithm works unchanged at any batch size; algorithms whose hot path
-  // is memory-latency-bound override this to pre-hash keys and software-
-  // prefetch request i+k's probe targets while evaluating request i. An
+  // algorithm works unchanged at any batch size; no algorithm overrides it
+  // (a cross-request prefetch pipeline for Cafe was measured and removed, see
+  // docs/PERFORMANCE.md), but wrappers may, e.g. to time whole batches. An
   // override must produce bit-identical outcomes and end-state to this loop.
   virtual void HandleRequestBatchImpl(const trace::Request* requests, size_t count,
                                       RequestOutcome* outcomes) {

@@ -24,10 +24,6 @@ std::string_view CacheKindName(CacheKind kind) {
       return "FillLFU";
     case CacheKind::kBelady:
       return "Belady";
-    case CacheKind::kXlruRef:
-      return "xLRU-ref";
-    case CacheKind::kCafeRef:
-      return "Cafe-ref";
   }
   return "unknown";
 }
@@ -46,10 +42,6 @@ std::unique_ptr<CacheAlgorithm> MakeCache(CacheKind kind, const CacheConfig& con
       return std::make_unique<FillLfuCache>(config);
     case CacheKind::kBelady:
       return std::make_unique<BeladyCache>(config);
-    case CacheKind::kXlruRef:
-      return std::make_unique<ReferenceXlruCache>(config);
-    case CacheKind::kCafeRef:
-      return std::make_unique<ReferenceCafeCache>(config);
   }
   VCDN_CHECK_MSG(false, "unknown CacheKind");
   return nullptr;

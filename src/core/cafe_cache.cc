@@ -15,8 +15,7 @@ constexpr double kInfinity = std::numeric_limits<double>::infinity();
 constexpr double kMinIat = 1e-6;
 }  // namespace
 
-template <typename C>
-CafeCacheT<C>::CafeCacheT(const CacheConfig& config, const CafeOptions& options)
+CafeCache::CafeCache(const CacheConfig& config, const CafeOptions& options)
     : CacheAlgorithm(config), options_(options) {
   VCDN_CHECK(options_.gamma > 0.0 && options_.gamma <= 1.0);
   VCDN_CHECK(options_.history_retention_factor > 0.0);
@@ -35,26 +34,22 @@ CafeCacheT<C>::CafeCacheT(const CacheConfig& config, const CafeOptions& options)
   video_chunks_.Reserve(capacity);
 }
 
-template <typename C>
-double CafeCacheT<C>::IatOf(const ChunkStat& stat, double now) const {
+double CafeCache::IatOf(const ChunkStat& stat, double now) const {
   // Eq. (8).
   return options_.gamma * (now - stat.t_last) + (1.0 - options_.gamma) * stat.dt;
 }
 
-template <typename C>
-double CafeCacheT<C>::VirtualKey(const ChunkStat& stat) const {
+double CafeCache::VirtualKey(const ChunkStat& stat) const {
   // Theorem 1 with T0 = 0: key = T0 - IAT(T0) = gamma*t_last - (1-gamma)*dt.
   return options_.gamma * stat.t_last - (1.0 - options_.gamma) * stat.dt;
 }
 
-template <typename C>
-void CafeCacheT<C>::UpdateStat(ChunkStat& stat, double now) const {
+void CafeCache::UpdateStat(ChunkStat& stat, double now) const {
   stat.dt = options_.gamma * (now - stat.t_last) + (1.0 - options_.gamma) * stat.dt;
   stat.t_last = now;
 }
 
-template <typename C>
-double CafeCacheT<C>::CacheAge(double now) const {
+double CafeCache::CacheAge(double now) const {
   if (cached_.empty()) {
     return 0.0;
   }
@@ -64,8 +59,7 @@ double CafeCacheT<C>::CacheAge(double now) const {
   return std::max(0.0, IatOf(*stat, now));
 }
 
-template <typename C>
-double CafeCacheT<C>::EstimateIat(const ChunkId& chunk, double now) const {
+double CafeCache::EstimateIat(const ChunkId& chunk, double now) const {
   if (const ChunkStat* cached_stat = cached_stats_.Peek(chunk)) {
     return std::max(kMinIat, IatOf(*cached_stat, now));
   }
@@ -75,9 +69,8 @@ double CafeCacheT<C>::EstimateIat(const ChunkId& chunk, double now) const {
   return EstimateIatFromVideo(chunk.video, video_chunks_.HashOf(chunk.video), now);
 }
 
-template <typename C>
-double CafeCacheT<C>::EstimateIatUncached(const ChunkId& chunk, uint32_t chunk_hash,
-                                          uint32_t video_hash, double now) const {
+double CafeCache::EstimateIatUncached(const ChunkId& chunk, uint32_t chunk_hash,
+                                      uint32_t video_hash, double now) const {
   // cached_ and cached_stats_ always hold the same key set, so a chunk known
   // missing from cached_ cannot be in cached_stats_ -- skip that probe.
   VCDN_DCHECK(cached_stats_.Peek(chunk) == nullptr);
@@ -87,8 +80,7 @@ double CafeCacheT<C>::EstimateIatUncached(const ChunkId& chunk, uint32_t chunk_h
   return EstimateIatFromVideo(chunk.video, video_hash, now);
 }
 
-template <typename C>
-double CafeCacheT<C>::EstimateIatFromVideo(VideoId video, uint32_t video_hash, double now) const {
+double CafeCache::EstimateIatFromVideo(VideoId video, uint32_t video_hash, double now) const {
   if (!options_.estimate_unseen_from_video) {
     return kInfinity;
   }
@@ -106,8 +98,7 @@ double CafeCacheT<C>::EstimateIatFromVideo(VideoId video, uint32_t video_hash, d
   return any ? std::max(kMinIat, worst) : kInfinity;
 }
 
-template <typename C>
-void CafeCacheT<C>::CleanupHistory(double now) {
+void CafeCache::CleanupHistory(double now) {
   double age = CacheAge(now);
   if (age <= 0.0) {
     return;
@@ -124,32 +115,28 @@ void CafeCacheT<C>::CleanupHistory(double now) {
   }
 }
 
-template <typename C>
-void CafeCacheT<C>::HistoryPut(const ChunkId& chunk, const ChunkStat& stat, uint32_t chunk_hash) {
+void CafeCache::HistoryPut(const ChunkId& chunk, const ChunkStat& stat, uint32_t chunk_hash) {
   history_.InsertOrTouch(chunk, stat, chunk_hash);
   if (options_.proactive) {
     history_by_key_.InsertOrUpdate(chunk, VirtualKey(stat), chunk_hash);
   }
 }
 
-template <typename C>
-void CafeCacheT<C>::HistoryErase(const ChunkId& chunk, uint32_t chunk_hash) {
+void CafeCache::HistoryErase(const ChunkId& chunk, uint32_t chunk_hash) {
   history_.Erase(chunk, chunk_hash);
   if (options_.proactive) {
     history_by_key_.Erase(chunk, chunk_hash);
   }
 }
 
-template <typename C>
-void CafeCacheT<C>::CacheInsert(const ChunkId& chunk, const ChunkStat& stat, uint32_t chunk_hash,
-                                uint32_t video_hash) {
+void CafeCache::CacheInsert(const ChunkId& chunk, const ChunkStat& stat, uint32_t chunk_hash,
+                            uint32_t video_hash) {
   cached_stats_.InsertOrTouch(chunk, stat, chunk_hash);
   cached_.InsertOrUpdate(chunk, VirtualKey(stat), chunk_hash);
   video_chunks_.Insert(chunk.video, chunk.index, video_hash);
 }
 
-template <typename C>
-void CafeCacheT<C>::CacheEvict(const ChunkId& chunk) {
+void CafeCache::CacheEvict(const ChunkId& chunk) {
   // Victims are arbitrary chunks (not the request's), so their hashes are not
   // pre-computed; hash once here and reuse across the five probes.
   const uint32_t chunk_hash = cached_stats_.HashOf(chunk);
@@ -162,8 +149,7 @@ void CafeCacheT<C>::CacheEvict(const ChunkId& chunk) {
   video_chunks_.Erase(chunk.video, chunk.index, video_hash);
 }
 
-template <typename C>
-uint64_t CafeCacheT<C>::EvictDownTo(uint64_t max_chunks) {
+uint64_t CafeCache::EvictDownTo(uint64_t max_chunks) {
   uint64_t evicted = 0;
   while (cached_.size() > max_chunks) {
     ChunkId victim = cached_.Top().second;  // copy: eviction invalidates refs
@@ -173,8 +159,7 @@ uint64_t CafeCacheT<C>::EvictDownTo(uint64_t max_chunks) {
   return evicted;
 }
 
-template <typename C>
-uint32_t CafeCacheT<C>::ProactiveFill(double now) {
+uint32_t CafeCache::ProactiveFill(double now) {
   // Off-peak only: the smoothed request rate must sit well below the peak.
   if (rate_estimate_ <= 0.0 || peak_rate_ <= 0.0 ||
       rate_estimate_ > options_.proactive_rate_threshold * peak_rate_) {
@@ -219,8 +204,7 @@ uint32_t CafeCacheT<C>::ProactiveFill(double now) {
   return filled;
 }
 
-template <typename C>
-void CafeCacheT<C>::OnAttachMetrics(obs::MetricsRegistry& registry, const std::string& prefix) {
+void CafeCache::OnAttachMetrics(obs::MetricsRegistry& registry, const std::string& prefix) {
   admit_serve_total_ = registry.GetCounter(prefix + "admit_serve_total");
   admit_redirect_cost_total_ = registry.GetCounter(prefix + "admit_redirect_cost_total");
   admit_redirect_unseen_total_ = registry.GetCounter(prefix + "admit_redirect_unseen_total");
@@ -232,16 +216,14 @@ void CafeCacheT<C>::OnAttachMetrics(obs::MetricsRegistry& registry, const std::s
   request_rate_gauge_ = registry.GetGauge(prefix + "request_rate_per_sec");
 }
 
-template <typename C>
-void CafeCacheT<C>::OnOutcomeRecorded() {
+void CafeCache::OnOutcomeRecorded() {
   history_chunks_gauge_.Set(static_cast<double>(history_.size()));
   tracked_videos_gauge_.Set(static_cast<double>(video_seen_.size()));
   cache_age_gauge_.Set(CacheAge(last_arrival_));
   request_rate_gauge_.Set(rate_estimate_);
 }
 
-template <typename C>
-void CafeCacheT<C>::ComputeHashes(const trace::Request& request, RequestHashes& out) const {
+void CafeCache::ComputeHashes(const trace::Request& request, RequestHashes& out) const {
   // video_seen_ and video_chunks_ share their hash (same Key/Hash pair), as
   // do cached_, cached_stats_, history_ and history_by_key_ (ChunkIdHash).
   out.video_hash = video_seen_.HashOf(request.video);
@@ -253,56 +235,9 @@ void CafeCacheT<C>::ComputeHashes(const trace::Request& request, RequestHashes& 
   }
 }
 
-template <typename C>
-void CafeCacheT<C>::PrefetchFor(const RequestHashes& hashes) const {
-  for (uint32_t h : hashes.chunk_hashes) {
-    cached_.PrefetchEntry(h);
-    cached_stats_.PrefetchSlot(h);
-    history_.PrefetchSlot(h);
-  }
-  video_seen_.PrefetchSlot(hashes.video_hash);
-  video_chunks_.PrefetchVideo(hashes.video_hash);
-  // Per-request fixtures: victim selection and CacheAge start at the heap
-  // top; CleanupHistory polls the history/video LRU tails every request.
-  cached_.PrefetchTop();
-  history_.PrefetchOldest();
-  video_seen_.PrefetchOldest();
-}
-
-template <typename C>
-RequestOutcome CafeCacheT<C>::HandleRequestImpl(const trace::Request& request) {
-  ComputeHashes(request, own_hashes_);
-  return HandleOne(request, own_hashes_);
-}
-
-template <typename C>
-void CafeCacheT<C>::HandleRequestBatchImpl(const trace::Request* requests, size_t count,
-                                           RequestOutcome* outcomes) {
-  // Software pipeline: hash and prefetch request i + kPrefetchDistance, then
-  // handle request i, so the probe lines for upcoming requests stream in
-  // while the current request runs the cost model. Hashes are pure functions
-  // of the chunk ids and prefetches are pure hints, so interleaving them
-  // ahead of mutations cannot change any outcome; results are bit-identical
-  // to the base class's sequential loop at every batch size.
-  constexpr size_t kRing = kPrefetchDistance + 1;
-  const size_t lead = std::min(kPrefetchDistance, count);
-  for (size_t i = 0; i < lead; ++i) {
-    ComputeHashes(requests[i], batch_hashes_[i % kRing]);
-    PrefetchFor(batch_hashes_[i % kRing]);
-  }
-  for (size_t i = 0; i < count; ++i) {
-    const size_t ahead = i + kPrefetchDistance;
-    if (ahead < count) {
-      ComputeHashes(requests[ahead], batch_hashes_[ahead % kRing]);
-      PrefetchFor(batch_hashes_[ahead % kRing]);
-    }
-    outcomes[i] = HandleOne(requests[i], batch_hashes_[i % kRing]);
-  }
-}
-
-template <typename C>
-RequestOutcome CafeCacheT<C>::HandleOne(const trace::Request& request,
-                                        const RequestHashes& hashes) {
+RequestOutcome CafeCache::HandleRequestImpl(const trace::Request& request) {
+  RequestHashes& hashes = hashes_;
+  ComputeHashes(request, hashes);
   const double now = request.arrival_time;
   if (first_request_time_ < 0.0) {
     first_request_time_ = now;
@@ -479,8 +414,5 @@ RequestOutcome CafeCacheT<C>::HandleOne(const trace::Request& request,
   CleanupHistory(now);
   return outcome;
 }
-
-template class CafeCacheT<container::FlatContainers>;
-template class CafeCacheT<container::ReferenceContainers>;
 
 }  // namespace vcdn::core

@@ -26,24 +26,23 @@
 // among their video's cached chunks (Sec. 6's final optimization); failing
 // that they contribute no expected future cost.
 //
-// The algorithm is templated on a container policy (containers.h): the
-// production CafeCache orders chunks in flat ScoreHeaps and keeps stats in
-// slab-backed FlatLruMaps; ReferenceCafeCache runs on the seed's
-// OrderedKeySet/LruMap. Both are explicitly instantiated in cafe_cache.cc
-// and must produce bit-identical replay results (ScoreHeap's tie-breaking
-// matches OrderedKeySet's (score, id) order exactly).
+// Chunks are ordered in flat ScoreHeaps (ties broken by chunk id, so victim
+// order is deterministic) and their stats kept in slab-backed FlatLruMaps;
+// steady-state admission performs no heap allocation.
+// container_flat_differential_test pins the decisions with a golden outcome
+// digest.
 
 #ifndef VCDN_SRC_CORE_CAFE_CACHE_H_
 #define VCDN_SRC_CORE_CAFE_CACHE_H_
 
-#include <array>
 #include <cstdint>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-#include "src/container/containers.h"
-#include "src/container/fast_hash.h"
+#include "src/container/chunk_set_map.h"
+#include "src/container/flat_lru_map.h"
+#include "src/container/score_heap.h"
 #include "src/core/cache_algorithm.h"
 
 namespace vcdn::core {
@@ -78,10 +77,9 @@ struct CafeOptions {
   double proactive_cost_discount = 0.5;
 };
 
-template <typename Containers>
-class CafeCacheT : public CacheAlgorithm {
+class CafeCache : public CacheAlgorithm {
  public:
-  explicit CafeCacheT(const CacheConfig& config, const CafeOptions& options = {});
+  explicit CafeCache(const CacheConfig& config, const CafeOptions& options = {});
 
   std::string_view name() const override { return "Cafe"; }
   uint64_t used_chunks() const override { return cached_.size(); }
@@ -100,12 +98,6 @@ class CafeCacheT : public CacheAlgorithm {
 
  protected:
   RequestOutcome HandleRequestImpl(const trace::Request& request) override;
-  // Software-pipelined batch admission: pre-hashes every chunk id in the
-  // batch and prefetches request i+k's probe buckets and slab slots while
-  // request i runs the Eq. 6-7 cost model. Bit-identical to the base loop at
-  // any batch size -- prefetching and hash reuse are pure scheduling.
-  void HandleRequestBatchImpl(const trace::Request* requests, size_t count,
-                              RequestOutcome* outcomes) override;
   // Evicts least popular first; the victims' stats move to history, so a
   // cold restart loses the disk but keeps the popularity signal.
   uint64_t EvictDownTo(uint64_t max_chunks) override;
@@ -117,12 +109,6 @@ class CafeCacheT : public CacheAlgorithm {
     double dt = 0.0;      // EWMA-smoothed inter-arrival time
     double t_last = 0.0;  // last access time
   };
-
-  // How many requests ahead the batched path issues prefetches: far enough
-  // that the probe lines arrive before use (~1 request's work per step, a
-  // few hundred cycles), near enough that they are not evicted again and at
-  // most ~3 requests' worth of hints are in flight. See docs/PERFORMANCE.md.
-  static constexpr size_t kPrefetchDistance = 4;
 
   // Pre-hashed probe targets of one request. Every ChunkId-keyed flat
   // structure (cached_, cached_stats_, history_, history_by_key_) and both
@@ -139,13 +125,7 @@ class CafeCacheT : public CacheAlgorithm {
   void UpdateStat(ChunkStat& stat, double now) const;
   void CleanupHistory(double now);
 
-  // The single-request admission path, shared by the unbatched and batched
-  // entry points; `hashes` must be ComputeHashes of `request`.
-  RequestOutcome HandleOne(const trace::Request& request, const RequestHashes& hashes);
   void ComputeHashes(const trace::Request& request, RequestHashes& out) const;
-  // Issues the prefetch hints for a request about to be handled (no-ops on
-  // the reference containers).
-  void PrefetchFor(const RequestHashes& hashes) const;
 
   // EstimateIat split for call sites that already know probe outcomes:
   // `chunk` known uncached (skips the cached_stats_ probe) ...
@@ -173,18 +153,18 @@ class CafeCacheT : public CacheAlgorithm {
   // Cached chunks ordered by virtual timestamp (Top() = least popular),
   // plus their popularity stats (recency order unused; the map is the flat
   // slab store).
-  typename Containers::template MinHeapT<ChunkId, double, ChunkIdHash> cached_;
-  typename Containers::template LruMapT<ChunkId, ChunkStat, ChunkIdHash> cached_stats_;
+  container::ScoreHeap<ChunkId, double, ChunkIdHash> cached_;
+  container::FlatLruMap<ChunkId, ChunkStat, ChunkIdHash> cached_stats_;
   // Chunks of each video currently on disk (for the unseen-chunk estimate).
-  typename Containers::ChunkSetMapT video_chunks_;
+  container::FlatChunkSetMap video_chunks_;
   // Popularity history of chunks *not* on disk, in recency order for cleanup.
-  typename Containers::template LruMapT<ChunkId, ChunkStat, ChunkIdHash> history_;
+  container::FlatLruMap<ChunkId, ChunkStat, ChunkIdHash> history_;
   // The same chunks ordered by virtual timestamp (Top() = most popular
   // uncached chunk), the proactive-fill candidate pool.
-  typename Containers::template MaxHeapT<ChunkId, double, ChunkIdHash> history_by_key_;
+  container::ScoreHeap<ChunkId, double, ChunkIdHash, /*kMaxFirst=*/true> history_by_key_;
   // Videos ever seen (recency-ordered, cleaned with history_); a request for
   // a never-seen video is always redirected, as in xLRU.
-  typename Containers::template LruMapT<VideoId, double> video_seen_;
+  container::FlatLruMap<VideoId, double> video_seen_;
   double first_request_time_ = -1.0;
 
   // Request-rate tracking for off-peak detection.
@@ -199,11 +179,7 @@ class CafeCacheT : public CacheAlgorithm {
   std::vector<std::pair<ChunkId, double>> victims_scratch_;
   std::vector<uint8_t> contains_scratch_;
   std::vector<uint32_t> missing_hash_scratch_;
-  // Hash scratch: one slot for the unbatched path, a ring of
-  // kPrefetchDistance + 1 slots for the batched path (slot i + distance is
-  // being written while slot i is being consumed; they never overlap).
-  RequestHashes own_hashes_;
-  std::array<RequestHashes, kPrefetchDistance + 1> batch_hashes_;
+  RequestHashes hashes_;
 
   // Observability (no-ops until AttachMetrics): the admission-decision mix of
   // Eqs. (6)-(7) and the popularity-tracking queue depths.
@@ -217,14 +193,6 @@ class CafeCacheT : public CacheAlgorithm {
   obs::Gauge cache_age_gauge_;
   obs::Gauge request_rate_gauge_;
 };
-
-extern template class CafeCacheT<container::FlatContainers>;
-extern template class CafeCacheT<container::ReferenceContainers>;
-
-// The production cache runs on the flat containers; the reference
-// instantiation exists for A/B benchmarking and differential tests.
-using CafeCache = CafeCacheT<container::FlatContainers>;
-using ReferenceCafeCache = CafeCacheT<container::ReferenceContainers>;
 
 }  // namespace vcdn::core
 

@@ -64,8 +64,7 @@ struct ReplayOptions {
   // are cut at bucket flushes, fault boundaries and outage windows, so every
   // observable -- outcomes, collector totals, series, metrics snapshots,
   // on_outcome order, fleet digests -- is bit-identical at any batch size;
-  // larger batches only let the cache overlap independent memory accesses
-  // (see CafeCacheT::HandleRequestBatchImpl).
+  // larger batches only amortize the per-call dispatch.
   size_t batch_size = 16;
 
   // --- observability (all optional) ---

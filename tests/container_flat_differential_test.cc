@@ -1,39 +1,44 @@
 // Copyright (c) 2026 libvcdn authors. Apache-2.0 license.
 //
-// Differential tests for the flat hot-path containers: FlatLruMap vs LruMap
-// and ScoreHeap vs RefScoreHeap (OrderedKeySet) are driven through ~1M mixed
-// seeded operations asserting identical observable state after every step,
-// then the templated caches (XlruCacheT, CafeCacheT) are replayed flat vs
-// reference with interleaved Resize/DropContents. Finally, the counting
-// allocator (vcdn_alloc_hook, linked into this test) asserts the flat
-// containers and the xLRU request path perform zero heap allocations in
-// steady state.
+// Differential tests for the flat hot-path containers: FlatLruMap,
+// ScoreHeap and FlatChunkSetMap are driven side by side with node-based
+// oracles (tests/lru_map_oracle.h, tests/ordered_key_set_oracle.h, a map of
+// hash sets) through seeded mixed operations asserting identical observable
+// state. xLRU and Cafe replay a seeded stream with interleaved
+// Resize/DropContents, unbatched and batched, against golden outcome
+// digests. Finally, the counting allocator (vcdn_alloc_hook, linked into this
+// test) asserts the flat containers and the cache request paths perform zero
+// heap allocations in steady state.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "src/container/chunk_set_map.h"
 #include "src/container/flat_lru_map.h"
-#include "src/container/lru_map.h"
-#include "src/container/ordered_key_set.h"
 #include "src/container/score_heap.h"
 #include "src/core/cafe_cache.h"
 #include "src/core/chunk.h"
 #include "src/core/xlru_cache.h"
+#include "src/sim/decision_digest.h"
 #include "src/util/alloc_hook.h"
 #include "src/util/rng.h"
+#include "tests/lru_map_oracle.h"
+#include "tests/ordered_key_set_oracle.h"
 
 namespace vcdn {
 namespace {
 
 // ---------------------------------------------------------------------------
-// FlatLruMap vs LruMap
+// FlatLruMap vs oracle::LruMap
 
 void ExpectLruStateEqual(const container::FlatLruMap<uint64_t, uint64_t>& flat,
-                         const container::LruMap<uint64_t, uint64_t>& ref) {
+                         const oracle::LruMap<uint64_t, uint64_t>& ref) {
   ASSERT_EQ(flat.size(), ref.size());
   auto fit = flat.begin();
   auto rit = ref.begin();
@@ -45,9 +50,8 @@ void ExpectLruStateEqual(const container::FlatLruMap<uint64_t, uint64_t>& flat,
 
 TEST(FlatDifferentialTest, LruMapMatchesReferenceThroughMixedOps) {
   container::FlatLruMap<uint64_t, uint64_t> flat;
-  container::LruMap<uint64_t, uint64_t> ref;
+  oracle::LruMap<uint64_t, uint64_t> ref;
   flat.Reserve(1 << 14);
-  ref.Reserve(1 << 14);
   util::Pcg32 rng(20260805);
   constexpr size_t kOps = 1'000'000;
   constexpr uint64_t kKeyRange = 1 << 14;
@@ -113,32 +117,45 @@ TEST(FlatDifferentialTest, LruMapMatchesReferenceThroughMixedOps) {
 }
 
 // ---------------------------------------------------------------------------
-// ScoreHeap vs RefScoreHeap (OrderedKeySet), both directions
+// ScoreHeap vs oracle::OrderedKeySet, both directions
 
-template <typename FlatHeap, typename RefHeap>
-void ExpectHeapOrderEqual(const FlatHeap& flat, const RefHeap& ref) {
-  ASSERT_EQ(flat.size(), ref.size());
-  std::vector<std::pair<double, uint64_t>> flat_order;
-  std::vector<std::pair<double, uint64_t>> ref_order;
-  flat_order.reserve(flat.size());
-  ref_order.reserve(ref.size());
-  flat.ScanInOrder([&](const auto& item) {
-    flat_order.push_back(item);
-    return true;
+using HeapItem = std::pair<double, uint64_t>;
+using OrderedSet = oracle::OrderedKeySet<uint64_t, double>;
+
+// The first `limit` items of `heap` in ScanInOrder order.
+template <typename Heap>
+std::vector<HeapItem> HeapPrefix(const Heap& heap, size_t limit) {
+  std::vector<HeapItem> out;
+  heap.ScanInOrder([&](const HeapItem& item) {
+    out.push_back(item);
+    return out.size() < limit;
   });
-  ref.ScanInOrder([&](const auto& item) {
-    ref_order.push_back(item);
-    return true;
-  });
-  ASSERT_EQ(flat_order, ref_order);
+  return out;
+}
+
+// The first `limit` items of `set` in the order ScoreHeap<kMaxFirst> scans.
+template <bool kMaxFirst>
+std::vector<HeapItem> OraclePrefix(const OrderedSet& set, size_t limit) {
+  std::vector<HeapItem> out;
+  auto take = [&](auto it, auto end) {
+    for (; it != end && out.size() < limit; ++it) {
+      out.push_back(*it);
+    }
+  };
+  if constexpr (kMaxFirst) {
+    take(set.rbegin(), set.rend());
+  } else {
+    take(set.begin(), set.end());
+  }
+  return out;
 }
 
 template <bool kMaxFirst>
 void RunScoreHeapDifferential(uint32_t seed) {
+  constexpr size_t kAll = SIZE_MAX;
   container::ScoreHeap<uint64_t, double, std::hash<uint64_t>, kMaxFirst> flat;
-  container::RefScoreHeap<uint64_t, double, std::hash<uint64_t>, kMaxFirst> ref;
+  OrderedSet ref;
   flat.Reserve(1 << 12);
-  ref.Reserve(1 << 12);
   util::Pcg32 rng(seed);
   constexpr size_t kOps = 400'000;
   constexpr uint64_t kIdRange = 1 << 12;
@@ -164,36 +181,28 @@ void RunScoreHeapDifferential(uint32_t seed) {
     } else if (op < 85) {
       ASSERT_EQ(flat.empty(), ref.empty());
       if (!flat.empty()) {
-        ASSERT_EQ(flat.Top(), ref.Top());
+        ASSERT_EQ(flat.Top(), kMaxFirst ? ref.Max() : ref.Min());
       }
     } else if (op < 97) {
       ASSERT_EQ(flat.empty(), ref.empty());
       if (!flat.empty()) {
-        ASSERT_EQ(flat.PopTop(), ref.PopTop());
+        ASSERT_EQ(flat.PopTop(), kMaxFirst ? ref.PopMax() : ref.PopMin());
       }
     } else {
       // Victim-selection shape: the first 8 items in order must agree.
-      std::vector<std::pair<double, uint64_t>> a;
-      std::vector<std::pair<double, uint64_t>> b;
-      flat.ScanInOrder([&](const auto& item) {
-        a.push_back(item);
-        return a.size() < 8;
-      });
-      ref.ScanInOrder([&](const auto& item) {
-        b.push_back(item);
-        return b.size() < 8;
-      });
-      ASSERT_EQ(a, b);
+      ASSERT_EQ(HeapPrefix(flat, 8), OraclePrefix<kMaxFirst>(ref, 8));
     }
     if (i == kOps / 2) {
       flat.Clear();
       ref.Clear();
     }
     if (i % 50'000 == 0) {
-      ExpectHeapOrderEqual(flat, ref);
+      ASSERT_EQ(flat.size(), ref.size());
+      ASSERT_EQ(HeapPrefix(flat, kAll), OraclePrefix<kMaxFirst>(ref, kAll));
     }
   }
-  ExpectHeapOrderEqual(flat, ref);
+  ASSERT_EQ(flat.size(), ref.size());
+  ASSERT_EQ(HeapPrefix(flat, kAll), OraclePrefix<kMaxFirst>(ref, kAll));
 }
 
 TEST(FlatDifferentialTest, MinScoreHeapMatchesOrderedKeySet) {
@@ -205,7 +214,72 @@ TEST(FlatDifferentialTest, MaxScoreHeapMatchesOrderedKeySet) {
 }
 
 // ---------------------------------------------------------------------------
-// Cache-level differential: flat vs reference container policies
+// FlatChunkSetMap vs a map of hash sets
+
+std::vector<uint32_t> SortedChunks(const container::FlatChunkSetMap& flat, uint64_t video) {
+  std::vector<uint32_t> chunks;
+  flat.ForEach(video, [&](uint32_t c) { chunks.push_back(c); });
+  std::sort(chunks.begin(), chunks.end());
+  return chunks;
+}
+
+TEST(FlatDifferentialTest, ChunkSetMapMatchesNestedHashSets) {
+  container::FlatChunkSetMap flat;
+  std::unordered_map<uint64_t, std::unordered_set<uint32_t>> ref;
+  auto ref_chunks = [&](uint64_t video) {
+    auto it = ref.find(video);
+    std::vector<uint32_t> chunks;
+    if (it != ref.end()) {
+      chunks.assign(it->second.begin(), it->second.end());
+      std::sort(chunks.begin(), chunks.end());
+    }
+    return chunks;
+  };
+  util::Pcg32 rng(25);
+  constexpr size_t kOps = 400'000;
+  constexpr uint64_t kVideoRange = 512;
+  // Few chunks per video, so videos empty out often and their entries are
+  // dropped and recycled.
+  constexpr uint32_t kChunkRange = 6;
+  for (size_t i = 0; i < kOps; ++i) {
+    const uint64_t video = rng.Next64() % kVideoRange;
+    const uint32_t chunk = rng.NextBounded(kChunkRange);
+    const uint32_t hash = flat.HashOf(video);
+    auto it = ref.find(video);
+    const bool present = it != ref.end() && it->second.count(chunk) > 0;
+    const uint32_t op = rng.NextBounded(100);
+    // Insert and Erase have preconditions (absent / present), so each
+    // mutates only when the oracle says it may; the hash-taking overloads
+    // take odd-numbered steps.
+    if (op < 40) {
+      if (!present) {
+        i % 2 == 0 ? flat.Insert(video, chunk) : flat.Insert(video, chunk, hash);
+        ref[video].insert(chunk);
+      }
+    } else if (op < 70) {
+      if (present) {
+        i % 2 == 0 ? flat.Erase(video, chunk) : flat.Erase(video, chunk, hash);
+        it->second.erase(chunk);
+        if (it->second.empty()) {
+          ref.erase(it);
+        }
+      }
+    } else if (op < 80) {
+      ASSERT_EQ(SortedChunks(flat, video), ref_chunks(video)) << "op " << i;
+    } else if (op < 90) {
+      ASSERT_EQ(flat.Contains(video, chunk), present) << "op " << i;
+    } else {
+      ASSERT_EQ(flat.ChunkCount(video), it == ref.end() ? 0 : it->second.size()) << "op " << i;
+    }
+    ASSERT_EQ(flat.video_count(), ref.size()) << "op " << i;
+  }
+  for (uint64_t video = 0; video < kVideoRange; ++video) {
+    ASSERT_EQ(SortedChunks(flat, video), ref_chunks(video)) << "video " << video;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Cache-level golden digests
 
 trace::Request SkewedRequest(util::Pcg32& rng, uint64_t videos, double time) {
   trace::Request r;
@@ -226,108 +300,69 @@ core::CacheConfig DifferentialConfig() {
   return config;
 }
 
-template <typename FlatCache, typename RefCache>
-void RunCacheDifferential(FlatCache& flat, RefCache& ref, uint32_t seed) {
-  util::Pcg32 rng(seed);
-  constexpr size_t kRequests = 60'000;
-  const uint64_t capacity = flat.config().disk_capacity_chunks;
+// Replays the golden stream -- 60K seeded requests in four segments, with
+// Resize(3/4), Resize(back) and DropContents between them -- and returns the
+// sim::OutcomeDigest of every outcome plus one marker record per event
+// (used_chunks() and the event's eviction count). batch_size 0 feeds
+// HandleRequest; otherwise HandleRequestBatch windows of batch_size, cut at
+// the events.
+uint64_t GoldenReplayDigest(core::CacheAlgorithm& cache, size_t batch_size) {
+  constexpr size_t kSegment = 15'000;
+  util::Pcg32 rng(21);
+  const uint64_t capacity = cache.config().disk_capacity_chunks;
+  sim::OutcomeDigest digest;
+  std::vector<trace::Request> window(std::max<size_t>(batch_size, 1));
+  std::vector<core::RequestOutcome> outcomes(window.size());
   double t = 0.0;
-  for (size_t i = 1; i <= kRequests; ++i) {
-    t += 0.05;
-    trace::Request r = SkewedRequest(rng, 4000, t);
-    core::RequestOutcome a = flat.HandleRequest(r);
-    core::RequestOutcome b = ref.HandleRequest(r);
-    ASSERT_EQ(a.decision, b.decision) << "request " << i;
-    ASSERT_EQ(a.filled_chunks, b.filled_chunks) << "request " << i;
-    ASSERT_EQ(a.evicted_chunks, b.evicted_chunks) << "request " << i;
-    ASSERT_EQ(a.hit_chunks, b.hit_chunks) << "request " << i;
-    ASSERT_EQ(flat.used_chunks(), ref.used_chunks()) << "request " << i;
-    if (i % 997 == 0) {
-      core::ChunkRange range = core::ToChunkRange(r, core::kDefaultChunkBytes);
-      for (uint32_t c = range.first; c <= range.last; ++c) {
-        core::ChunkId chunk{r.video, c};
-        ASSERT_EQ(flat.ContainsChunk(chunk), ref.ContainsChunk(chunk)) << "request " << i;
+  auto fold_event = [&](uint64_t evicted) {
+    digest.FoldFields(0xFF, 0xFF, cache.used_chunks(), 0, 0, static_cast<uint32_t>(evicted));
+  };
+  auto run_segment = [&] {
+    for (size_t done = 0; done < kSegment;) {
+      size_t n = std::min(window.size(), kSegment - done);
+      for (size_t i = 0; i < n; ++i) {
+        t += 0.05;
+        window[i] = SkewedRequest(rng, 4000, t);
       }
+      if (batch_size == 0) {
+        outcomes[0] = cache.HandleRequest(window[0]);
+      } else {
+        cache.HandleRequestBatch(window.data(), n, outcomes.data());
+      }
+      for (size_t i = 0; i < n; ++i) {
+        digest.Fold(outcomes[i]);
+      }
+      done += n;
     }
-    // Structural events mid-replay: shrink (EvictDownTo victim order must
-    // agree), grow back, cold restart.
-    if (i == kRequests / 4) {
-      ASSERT_EQ(flat.Resize(capacity * 3 / 4), ref.Resize(capacity * 3 / 4));
-      ASSERT_EQ(flat.used_chunks(), ref.used_chunks());
-    } else if (i == kRequests / 2) {
-      ASSERT_EQ(flat.Resize(capacity), ref.Resize(capacity));
-    } else if (i == kRequests * 3 / 4) {
-      ASSERT_EQ(flat.DropContents(), ref.DropContents());
-      ASSERT_EQ(flat.used_chunks(), 0u);
-    }
+  };
+  run_segment();
+  fold_event(cache.Resize(capacity * 3 / 4));
+  run_segment();
+  fold_event(cache.Resize(capacity));
+  run_segment();
+  fold_event(cache.DropContents());
+  run_segment();
+  fold_event(0);
+  return digest.value();
+}
+
+// Recorded when each algorithm ran on both the flat and the node-based
+// containers; the two agreed, through both entry points.
+constexpr uint64_t kXlruGoldenDigest = 0x3f18027fa0ff58ffULL;
+constexpr uint64_t kCafeGoldenDigest = 0xd6061f97eb5c5285ULL;
+
+TEST(GoldenDigestTest, XlruReplayMatchesGolden) {
+  for (size_t batch_size : {size_t{0}, size_t{16}}) {
+    core::XlruCache cache(DifferentialConfig());
+    EXPECT_EQ(GoldenReplayDigest(cache, batch_size), kXlruGoldenDigest) << "batch " << batch_size;
   }
 }
 
-TEST(FlatDifferentialTest, XlruFlatMatchesReferenceReplay) {
-  core::XlruCache flat(DifferentialConfig());
-  core::ReferenceXlruCache ref(DifferentialConfig());
-  RunCacheDifferential(flat, ref, 21);
-  EXPECT_EQ(flat.tracked_videos(), ref.tracked_videos());
-}
-
-TEST(FlatDifferentialTest, CafeFlatMatchesReferenceReplay) {
-  core::CafeCache flat(DifferentialConfig());
-  core::ReferenceCafeCache ref(DifferentialConfig());
-  RunCacheDifferential(flat, ref, 22);
-  EXPECT_EQ(flat.tracked_history_chunks(), ref.tracked_history_chunks());
-  EXPECT_EQ(flat.CacheAge(5000.0), ref.CacheAge(5000.0));
-}
-
-// ---------------------------------------------------------------------------
-// Batched admission at the cache level: HandleRequestBatch vs HandleRequest
-
-template <typename Cache>
-void RunBatchVsSingleDifferential(Cache& batched, Cache& single, uint32_t seed,
-                                  size_t batch_size) {
-  util::Pcg32 rng(seed);
-  constexpr size_t kRequests = 40'000;
-  std::vector<trace::Request> window(batch_size);
-  std::vector<core::RequestOutcome> outcomes(batch_size);
-  double t = 0.0;
-  for (size_t done = 0; done < kRequests;) {
-    // Odd remainders included: the last window is a partial batch.
-    size_t n = std::min(batch_size, kRequests - done);
-    for (size_t i = 0; i < n; ++i) {
-      t += 0.05;
-      window[i] = SkewedRequest(rng, 4000, t);
-    }
-    batched.HandleRequestBatch(window.data(), n, outcomes.data());
-    for (size_t i = 0; i < n; ++i) {
-      core::RequestOutcome expected = single.HandleRequest(window[i]);
-      ASSERT_EQ(outcomes[i].decision, expected.decision) << "request " << done + i;
-      ASSERT_EQ(outcomes[i].hit_chunks, expected.hit_chunks) << "request " << done + i;
-      ASSERT_EQ(outcomes[i].filled_chunks, expected.filled_chunks) << "request " << done + i;
-      ASSERT_EQ(outcomes[i].evicted_chunks, expected.evicted_chunks) << "request " << done + i;
-    }
-    done += n;
-    ASSERT_EQ(batched.used_chunks(), single.used_chunks()) << "after " << done;
+TEST(GoldenDigestTest, CafeReplayMatchesGolden) {
+  for (size_t batch_size : {size_t{0}, size_t{16}}) {
+    core::CafeCache cache(DifferentialConfig());
+    EXPECT_EQ(GoldenReplayDigest(cache, batch_size), kCafeGoldenDigest) << "batch " << batch_size;
   }
-}
-
-TEST(FlatDifferentialTest, CafeBatchedAdmissionMatchesSingleRequests) {
-  // The software-pipelined CafeCacheT::HandleRequestBatchImpl (hash + prefetch
-  // lookahead) must be outcome-identical to one-at-a-time admission.
-  for (size_t batch_size : {size_t{3}, size_t{16}, size_t{33}}) {
-    core::CafeCache batched(DifferentialConfig());
-    core::CafeCache single(DifferentialConfig());
-    RunBatchVsSingleDifferential(batched, single, 23, batch_size);
-    EXPECT_EQ(batched.tracked_history_chunks(), single.tracked_history_chunks());
-    EXPECT_EQ(batched.CacheAge(5000.0), single.CacheAge(5000.0));
-  }
-}
-
-TEST(FlatDifferentialTest, XlruBatchedAdmissionMatchesSingleRequests) {
-  // xLRU uses the default HandleRequestBatchImpl loop; this pins the
-  // CacheAlgorithm choke-point contract for non-overriding algorithms.
-  core::XlruCache batched(DifferentialConfig());
-  core::XlruCache single(DifferentialConfig());
-  RunBatchVsSingleDifferential(batched, single, 24, 16);
-  EXPECT_EQ(batched.tracked_videos(), single.tracked_videos());
 }
 
 // ---------------------------------------------------------------------------
@@ -451,8 +486,8 @@ TEST(FlatAllocationTest, CafeRequestPathSteadyStateIsAllocationFree) {
 }
 
 TEST(FlatAllocationTest, CafeBatchedRequestPathSteadyStateIsAllocationFree) {
-  // Same contract through the batched entry point: the hash ring, outcome
-  // buffer and per-batch scratch are all reused across calls.
+  // Same contract through the batched entry point: the outcome buffer and
+  // per-request scratch are all reused across calls.
   core::CacheConfig config = DifferentialConfig();
   config.disk_capacity_chunks = 1 << 13;
   core::CafeCache cache(config);

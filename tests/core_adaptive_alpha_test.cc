@@ -90,7 +90,7 @@ TEST(AdaptiveAlphaTest, LowersAlphaWhenIngressBelowBudget) {
   auto inner = std::make_unique<CafeCache>(SmallConfig(64, 4.0));
   AdaptiveAlphaCache cache(std::move(inner), options);
   double t = 0.0;
-  for (int i = 0; i < 3000; ++i) {
+  for (trace::VideoId i = 0; i < 3000; ++i) {
     t += 1.0;
     cache.HandleRequest(ChunkRequest(t, 1 + (i % 4), 0, 3));
   }
@@ -110,7 +110,7 @@ TEST(AdaptiveAlphaTest, TracksIngressBudgetEndToEnd) {
 
   trace::Trace trace;
   double t = 0.0;
-  for (int round = 0; round < 3000; ++round) {
+  for (trace::VideoId round = 0; round < 3000; ++round) {
     t += 1.0;
     // Stable popular set + a churning tail whose videos recur a few times
     // (so admitting them costs real ingress, and alpha controls how much).

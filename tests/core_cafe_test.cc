@@ -203,7 +203,7 @@ TEST(CafeTest, HistoryIsGarbageCollected) {
 TEST(CafeTest, DeterministicReplay) {
   auto run = [](std::vector<Decision>& decisions) {
     CafeCache cache(SmallConfig(8, 2.0));
-    for (int i = 0; i < 300; ++i) {
+    for (uint32_t i = 0; i < 300; ++i) {
       double t = static_cast<double>(i) * 0.7;
       trace::VideoId v = static_cast<trace::VideoId>(i % 9);
       auto outcome = cache.HandleRequest(ChunkRequest(t, v, 0, (i % 4)));

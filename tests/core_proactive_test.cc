@@ -70,7 +70,7 @@ TEST(ProactiveCafeTest, NoPrefetchAtPeakRate) {
   // never below threshold * peak -> no proactive fills.
   double t = 0.0;
   uint64_t proactive = 0;
-  for (int i = 0; i < 500; ++i) {
+  for (trace::VideoId i = 0; i < 500; ++i) {
     t += 1.0;
     auto outcome =
         cache.HandleRequest(ChunkRequest(t, 1 + (i % 20), 0, 1));
@@ -83,7 +83,7 @@ TEST(ProactiveCafeTest, PrefetchRespectsCapacity) {
   CacheConfig config = SmallConfig(8, 2.0);
   CafeCache cache(config, ProactiveOptions());
   double t = 0.0;
-  for (int i = 0; i < 300; ++i) {
+  for (trace::VideoId i = 0; i < 300; ++i) {
     t += 0.1;
     cache.HandleRequest(ChunkRequest(t, 1 + (i % 6), 0, 1));
   }

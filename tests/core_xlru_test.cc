@@ -179,7 +179,7 @@ TEST(XlruTest, TrackerCleanupDropsStaleVideos) {
 TEST(XlruTest, DeterministicReplay) {
   auto run = [](std::vector<Decision>& decisions) {
     XlruCache cache(SmallConfig(8, 2.0));
-    for (int i = 0; i < 200; ++i) {
+    for (uint32_t i = 0; i < 200; ++i) {
       double t = static_cast<double>(i);
       trace::VideoId v = static_cast<trace::VideoId>(i % 7);
       auto outcome = cache.HandleRequest(ChunkRequest(t, v, 0, (i % 3)));

@@ -257,7 +257,8 @@ TEST(FleetFaultTest, DigestIdenticalAcrossThreadCounts) {
   }
   for (int s = 0; s < 3; ++s) {
     FleetServer server;
-    server.name = "s" + std::to_string(s);
+    server.name = "s";
+    server.name += std::to_string(s);
     server.kind = core::CacheKind::kCafe;
     server.config = SmallConfig(24, 2.0);
     server.trace = &traces[static_cast<size_t>(s)];

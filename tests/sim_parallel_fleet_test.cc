@@ -41,7 +41,7 @@ class ParallelFleetTest : public ::testing::Test {
       config.disk_capacity_chunks = 200 + 100 * i;
       config.alpha_f2r = 2.0;
       servers_.push_back(
-          FleetServer{"server" + std::to_string(i), kinds[i], config, &traces_.back()});
+          FleetServer{"server" + std::to_string(i), kinds[i], config, &traces_.back(), {}});
     }
   }
 

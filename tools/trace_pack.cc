@@ -3,7 +3,7 @@
 // trace_pack: packs traces into the mmap-replayable VCDNTRS2 format
 // (src/trace/trace_file.h, docs/TRACE_FORMAT.md).
 //
-//   trace_pack --generate six|europe [--scale X] [--days D] [--seed S] \
+//   trace_pack --generate six|europe [--scale X] [--days D] [--seed S]
 //              --out fleet.vtrs [--verify]
 //   trace_pack --csv edge0.csv,edge1.csv --out fleet.vtrs [--verify]
 //   trace_pack --bin edge0.trc,edge1.trc --out fleet.vtrs [--verify]
