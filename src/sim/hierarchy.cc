@@ -94,7 +94,6 @@ HierarchyResult RunHierarchyImpl(const std::vector<EdgeSource>& edge_sources,
                                  const HierarchyConfig& config) {
   VCDN_CHECK(!edge_sources.empty());
   // The hierarchy owns the replay loop's callbacks and the fault wiring.
-  VCDN_CHECK(config.replay.observer == nullptr);
   VCDN_CHECK(config.replay.on_outcome == nullptr);
   VCDN_CHECK(config.replay.faults == nullptr);
 

@@ -51,7 +51,7 @@ struct HierarchyConfig {
   core::CacheConfig edge_config;
   core::CacheKind parent_kind = core::CacheKind::kCafe;
   core::CacheConfig parent_config;  // typically a deeper cache, lower alpha
-  // observer/on_outcome must be unset (the hierarchy owns the replay loop);
+  // on_outcome must be unset (the hierarchy owns the replay loop);
   // metrics/trace_sink receive the edge recordings merged in edge order,
   // then the parent's.
   ReplayOptions replay;

@@ -46,8 +46,8 @@ ReplayResult ReplayLoop(core::CacheAlgorithm& cache, trace::RequestStream& strea
     sim_time_gauge = options.metrics->GetGauge("sim.replay.sim_time_seconds");
     throughput_gauge = options.metrics->GetGauge("sim.replay.requests_per_sec");
   }
-  const bool observing = options.observer != nullptr || options.trace_sink != nullptr ||
-                         options.metrics != nullptr || options.series != nullptr;
+  const bool observing =
+      options.trace_sink != nullptr || options.metrics != nullptr || options.series != nullptr;
   if (options.series != nullptr) {
     // The recorder snapshots the registry at window edges; without one there
     // is nothing to snapshot and the series would be silently empty.
@@ -67,8 +67,7 @@ ReplayResult ReplayLoop(core::CacheAlgorithm& cache, trace::RequestStream& strea
   // Rendered lazily on the first fault-boundary capture, then reused.
   std::string fault_schedule_json;
 
-  // Per-bucket flush: gauges, registry snapshot, series window, observer
-  // callback.
+  // Per-bucket flush: gauges, registry snapshot, series window.
   auto flush = [&](double sim_time) {
     double wall = SecondsSince(loop_start);
     buckets_counter.Increment();
@@ -82,16 +81,6 @@ ReplayResult ReplayLoop(core::CacheAlgorithm& cache, trace::RequestStream& strea
       // shard of a fleet keys the same windows and MergeFrom aligns exactly.
       const double start = static_cast<double>(current_bucket) * options.bucket_seconds;
       options.series->EndWindow(start, start + options.bucket_seconds);
-    }
-    if (options.observer != nullptr) {
-      ReplayProgress progress;
-      progress.requests_processed = processed;
-      progress.total_requests = stream.total_requests_hint();
-      progress.sim_time = sim_time;
-      progress.wall_seconds = wall;
-      progress.requests_per_second = wall > 0.0 ? static_cast<double>(processed) / wall : 0.0;
-      progress.totals = &collector.totals();
-      options.observer->OnBucketEnd(progress);
     }
   };
 

@@ -16,11 +16,11 @@
 //   [64 + 48*server_count)  total_records x 32-byte request records,
 //         grouped by server, time-ordered within each server
 //
-// Hostile-file rigor mirrors trace_io.cc's ReadBinary: Open() validates the
-// header and index against the actual file size before trusting any count
-// (structural mismatches -> InvalidArgument, truncation/bit-rot ->
-// DataLoss), and per-record validation happens lazily as spans are pulled
-// (streams end early with a non-OK status()) or eagerly via Validate().
+// Hostile files: Open() validates the header and index against the actual
+// file size before trusting any count (structural mismatches ->
+// InvalidArgument, truncation/bit-rot -> DataLoss), and per-record
+// validation happens lazily as spans are pulled (streams end early with a
+// non-OK status()) or eagerly via Validate().
 // docs/TRACE_FORMAT.md documents the layout and the versioning rules.
 
 #ifndef VCDN_SRC_TRACE_TRACE_FILE_H_
@@ -35,6 +35,7 @@
 
 #include "src/trace/request.h"
 #include "src/trace/request_stream.h"
+#include "src/util/fnv1a.h"
 #include "src/util/status.h"
 
 namespace vcdn::trace {
@@ -51,16 +52,12 @@ struct TraceServerInfo {
 };
 static_assert(sizeof(TraceServerInfo) == 48, "index entry layout drifted");
 
-// FNV-1a over raw 32-byte record images; the round-trip digest trace_pack
-// --verify and the scale bench use to prove packed == generated.
+// util::Fnv1a over raw 32-byte record images; the round-trip digest
+// trace_pack --verify and the scale bench use to prove packed == generated.
 class RequestDigest {
  public:
   void Fold(const Request& r) {
-    const unsigned char* bytes = reinterpret_cast<const unsigned char*>(&r);
-    for (size_t i = 0; i < sizeof(Request); ++i) {
-      hash_ ^= bytes[i];
-      hash_ *= 1099511628211ULL;
-    }
+    hash_.FoldBytes(&r, sizeof(Request));
     ++count_;
   }
   void Fold(const Request* records, size_t count) {
@@ -68,11 +65,11 @@ class RequestDigest {
       Fold(records[i]);
     }
   }
-  uint64_t value() const { return hash_; }
+  uint64_t value() const { return hash_.value(); }
   uint64_t count() const { return count_; }
 
  private:
-  uint64_t hash_ = 1469598103934665603ULL;
+  util::Fnv1a hash_;
   uint64_t count_ = 0;
 };
 

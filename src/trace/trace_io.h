@@ -1,13 +1,13 @@
 // Copyright (c) 2026 libvcdn authors. Apache-2.0 license.
 //
-// Trace (de)serialization. Two formats:
+// CSV trace (de)serialization: the text interchange format, header
+// "arrival_time,video,byte_begin,byte_end", interoperable with
+// spreadsheet/plotting tooling. Lossless: every double is written with
+// %.17g, so ReadCsv(WriteCsv(t)) reproduces t field for field.
 //
-//   * CSV: human-readable, header "arrival_time,video,byte_begin,byte_end";
-//     interoperable with spreadsheet/plotting tooling.
-//   * VCDNTRC1 binary: compact native-endian record stream for large traces.
-//
-// Real anonymized logs in either format can be replayed through the
-// simulator in place of synthetic ones.
+// Real anonymized logs can be replayed through the simulator in place of
+// synthetic ones; tools/trace_pack packs CSV into the mmap-replayable
+// VCDNTRS2 binary format (src/trace/trace_file.h).
 
 #ifndef VCDN_SRC_TRACE_TRACE_IO_H_
 #define VCDN_SRC_TRACE_TRACE_IO_H_
@@ -20,21 +20,11 @@
 
 namespace vcdn::trace {
 
-// CSV ------------------------------------------------------------------------
-
 util::Status WriteCsv(const Trace& trace, std::ostream& out);
 util::Status WriteCsvFile(const Trace& trace, const std::string& path);
 
 util::Result<Trace> ReadCsv(std::istream& in);
 util::Result<Trace> ReadCsvFile(const std::string& path);
-
-// Binary ----------------------------------------------------------------------
-
-util::Status WriteBinary(const Trace& trace, std::ostream& out);
-util::Status WriteBinaryFile(const Trace& trace, const std::string& path);
-
-util::Result<Trace> ReadBinary(std::istream& in);
-util::Result<Trace> ReadBinaryFile(const std::string& path);
 
 }  // namespace vcdn::trace
 

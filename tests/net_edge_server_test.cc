@@ -65,6 +65,8 @@ TEST(NetEdgeServerTest, DigestBridgeMatchesOfflineReplay) {
   ASSERT_GT(trace.requests.size(), 1000u);
   const uint64_t offline =
       sim::ReplayOutcomeDigest(core::CacheKind::kCafe, SmallCacheConfig(), trace);
+  // Golden value of the offline side of the bridge.
+  EXPECT_EQ(offline, 0x7dbb2ae178f80fefULL);
 
   for (size_t threads : {1u, 4u}) {
     exec::ThreadPool pool(threads);

@@ -300,7 +300,7 @@ TEST(MetricsRegistryJsonTest, RegistryJsonIsValid) {
   MetricsRegistry registry;
   registry.GetCounter("a_total").Increment(1);
   registry.GetGauge("weird \"name\"\t").Set(-0.5);
-  registry.GetHistogram("h", 0.0, 2.0, 2).Observe(1.0);
+  registry.GetHdrHistogram("h", 1.0, 2.0, 2).Observe(1.0);
   std::ostringstream out;
   registry.WriteJson(out);
   EXPECT_TRUE(JsonValidator::Valid(out.str())) << out.str();

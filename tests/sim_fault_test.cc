@@ -286,6 +286,9 @@ TEST(FleetFaultTest, DigestIdenticalAcrossThreadCounts) {
   FleetResult sequential = run(1, &schedule);
   ASSERT_GT(sequential.totals.unavailable_requests, 0u);
   const uint64_t reference_digest = FleetDigest(sequential);
+  // Golden value: pins FleetDigest's unavailable-traffic fields under a
+  // seeded fault schedule.
+  EXPECT_EQ(reference_digest, 0x1402dc5e44853fd9ULL);
   for (size_t threads : {2u, 7u}) {
     EXPECT_EQ(FleetDigest(run(threads, &schedule)), reference_digest) << threads << " threads";
   }

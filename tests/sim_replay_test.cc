@@ -125,63 +125,34 @@ TEST(ReplayTest, XlruEndToEndOnSyntheticPattern) {
   EXPECT_EQ(result.alpha_f2r, 2.0);
 }
 
-// Records every OnBucketEnd call for cadence assertions.
-class RecordingObserver : public ReplayObserver {
- public:
-  void OnBucketEnd(const ReplayProgress& progress) override {
-    processed_.push_back(progress.requests_processed);
-    sim_times_.push_back(progress.sim_time);
-    total_requests_ = progress.total_requests;
-    last_totals_requests_ = progress.totals != nullptr ? progress.totals->requests : 0;
-  }
-
-  const std::vector<uint64_t>& processed() const { return processed_; }
-  const std::vector<double>& sim_times() const { return sim_times_; }
-  uint64_t total_requests() const { return total_requests_; }
-  uint64_t last_totals_requests() const { return last_totals_requests_; }
-
- private:
-  std::vector<uint64_t> processed_;
-  std::vector<double> sim_times_;
-  uint64_t total_requests_ = 0;
-  uint64_t last_totals_requests_ = 0;
-};
-
-TEST(ReplayObserverTest, CalledOncePerBucketPlusFinal) {
+TEST(ReplayObsTest, BucketsFlushedOncePerBucketPlusFinal) {
   // Buckets of 10s; requests land in buckets 0, 0, 2, 5 -> two interior
-  // boundary crossings plus the final flush = 3 callbacks.
+  // boundary crossings plus the final flush = 3 flushes.
   trace::Trace trace =
       MakeTrace({{1.0, 1, 0, 0}, {2.0, 1, 0, 0}, {25.0, 1, 0, 0}, {51.0, 2, 0, 0}});
   trace.duration = 60.0;
   core::AlwaysFillLruCache cache(SmallConfig(10, 1.0));
-  RecordingObserver observer;
+  obs::MetricsRegistry registry;
   ReplayOptions options;
   options.bucket_seconds = 10.0;
-  options.observer = &observer;
+  options.metrics = &registry;
   Replay(cache, trace, options);
 
-  ASSERT_EQ(observer.processed().size(), 3u);
-  // First flush happens when t=25 arrives: 2 requests processed so far.
-  EXPECT_EQ(observer.processed()[0], 2u);
-  EXPECT_EQ(observer.processed()[1], 3u);
-  EXPECT_EQ(observer.processed()[2], 4u);
-  EXPECT_EQ(observer.total_requests(), 4u);
-  EXPECT_EQ(observer.last_totals_requests(), 4u);
-  EXPECT_DOUBLE_EQ(observer.sim_times().back(), 51.0);
+  EXPECT_EQ(registry.CounterValue("sim.replay.buckets_flushed_total"), 3u);
+  EXPECT_EQ(registry.CounterValue("sim.replay.requests_total"), 4u);
+  // The final flush stamps the last arrival.
+  EXPECT_DOUBLE_EQ(registry.GaugeValue("sim.replay.sim_time_seconds"), 51.0);
 }
 
-TEST(ReplayObserverTest, NeverCalledForEmptyTrace) {
+TEST(ReplayObsTest, NothingFlushedForEmptyTrace) {
   trace::Trace trace;
   trace.duration = 0.0;
   core::AlwaysFillLruCache cache(SmallConfig(10, 1.0));
-  RecordingObserver observer;
   obs::MetricsRegistry registry;
   ReplayOptions options;
   options.measurement_start_fraction = 0.0;
-  options.observer = &observer;
   options.metrics = &registry;
   ReplayResult result = Replay(cache, trace, options);
-  EXPECT_TRUE(observer.processed().empty());
   EXPECT_EQ(result.totals.requests, 0u);
   EXPECT_EQ(registry.CounterValue("sim.replay.requests_total"), 0u);
   EXPECT_EQ(registry.CounterValue("sim.replay.buckets_flushed_total"), 0u);

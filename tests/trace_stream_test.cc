@@ -186,6 +186,7 @@ TEST_F(TraceFileTest, RoundTripPreservesEveryRecordAndTheIndex) {
   RequestDigest source;
   source.Fold(a.requests.data(), a.requests.size());
   source.Fold(b.requests.data(), b.requests.size());
+  EXPECT_EQ(source.value(), 0xb9c48a0f341e61f8ULL);  // golden value of the record bytes
   auto scanned = file.Validate();
   ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
   EXPECT_EQ(scanned.value(), source.value());
