@@ -108,20 +108,25 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::string value = argv[++i];
+    bool valid = true;
     if (flag == "--server") {
       server = value;
     } else if (flag == "--days") {
-      util::ParseDouble(value, &days);
+      valid = util::ParseDouble(value, &days);
     } else if (flag == "--scale") {
-      util::ParseDouble(value, &scale);
+      valid = util::ParseDouble(value, &scale);
     } else if (flag == "--seed") {
-      util::ParseUint64(value, &seed);
+      valid = util::ParseUint64(value, &seed);
     } else if (flag == "--out-csv") {
       out_csv = value;
     } else if (flag == "--out-bin") {
       out_bin = value;
     } else {
       std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
+      return 1;
+    }
+    if (!valid) {
+      std::fprintf(stderr, "invalid value for %s: %s\n", flag.c_str(), value.c_str());
       return 1;
     }
   }

@@ -1,8 +1,10 @@
 // Copyright (c) 2026 libvcdn authors. Apache-2.0 license.
 //
-// ChunkSetMap: video id -> set of chunk indices, the structure behind Cafe's
-// unseen-chunk estimate (Sec. 6's "largest IAT among the video's cached
-// chunks"). This was the last node-based piece of the Cafe hot path -- an
+// ChunkSetMap: video id -> set of 32-bit chunk references, the structure
+// behind Cafe's unseen-chunk estimate (Sec. 6's "largest IAT among the
+// video's cached chunks"). Cafe stores each cached chunk's slot handle in its
+// chunk table, so the estimate reads the chunks' stats without a probe; any
+// other unique per-video value (a chunk index) works the same. This was the last node-based piece of the Cafe hot path -- an
 // unordered_map of unordered_sets allocates a node per cached chunk and a
 // bucket array per video, which is where Cafe's residual ~0.15 allocations
 // per request came from.
@@ -56,16 +58,11 @@ class FlatChunkSetMap {
   // Number of videos currently holding at least one chunk.
   size_t video_count() const { return index_.size(); }
 
-  // Mixed 32-bit hash of `video`; matches FlatIndex::HashOf for the same key
-  // and hasher, so callers sharing keys across containers hash once.
-  uint32_t HashOf(uint64_t video) const { return index_.HashOf(video); }
-
   // Records `chunk` as cached for `video`. The chunk must not already be
   // present (Cafe only inserts chunks that just transitioned to cached).
-  void Insert(uint64_t video, uint32_t chunk) { Insert(video, chunk, index_.HashOf(video)); }
-  void Insert(uint64_t video, uint32_t chunk, uint32_t hash) {
-    VCDN_DCHECK(hash == index_.HashOf(video));
+  void Insert(uint64_t video, uint32_t chunk) {
     VCDN_DCHECK(!Contains(video, chunk));
+    const uint32_t hash = index_.HashOf(video);
     uint32_t e = index_.Find(hash, video, VideoAt());
     if (e == kNil) {
       e = AllocEntry(video);
@@ -78,9 +75,8 @@ class FlatChunkSetMap {
 
   // Removes `chunk` from `video`'s set; the video's entry is dropped when its
   // last chunk goes. The pair must be present.
-  void Erase(uint64_t video, uint32_t chunk) { Erase(video, chunk, index_.HashOf(video)); }
-  void Erase(uint64_t video, uint32_t chunk, uint32_t hash) {
-    VCDN_DCHECK(hash == index_.HashOf(video));
+  void Erase(uint64_t video, uint32_t chunk) {
+    const uint32_t hash = index_.HashOf(video);
     uint32_t e = index_.Find(hash, video, VideoAt());
     VCDN_DCHECK(e != kNil);
     uint32_t* link = &entries_[e].head;
@@ -101,12 +97,7 @@ class FlatChunkSetMap {
   // unspecified order.
   template <typename Fn>
   void ForEach(uint64_t video, Fn&& fn) const {
-    ForEach(video, index_.HashOf(video), fn);
-  }
-  template <typename Fn>
-  void ForEach(uint64_t video, uint32_t hash, Fn&& fn) const {
-    VCDN_DCHECK(hash == index_.HashOf(video));
-    uint32_t e = index_.Find(hash, video, VideoAt());
+    uint32_t e = index_.Find(index_.HashOf(video), video, VideoAt());
     if (e == kNil) {
       return;
     }

@@ -1,6 +1,7 @@
 // Copyright (c) 2026 libvcdn authors. Apache-2.0 license.
 //
-// FlatIndex: the open-addressing core shared by FlatLruMap and ScoreHeap.
+// FlatIndex: the open-addressing core shared by the flat containers and
+// Cafe's chunk table.
 //
 // Maps Key -> uint32_t handle (a slot in the caller's slab). The table stores
 // only (hash, handle) pairs -- 8 bytes per bucket, one contiguous array -- so
@@ -25,7 +26,6 @@
 #include <vector>
 
 #include "src/container/fast_hash.h"
-#include "src/container/prefetch.h"
 #include "src/util/check.h"
 
 namespace vcdn::container {
@@ -57,32 +57,6 @@ class FlatIndex {
       b.handle = kNil;
     }
     size_ = 0;
-  }
-
-  // Hints the cache hierarchy to pull in the home bucket of `hash` ahead of a
-  // Find/Insert/Erase for the same hash. Pure hint, never required for
-  // correctness; at <= 3/4 load the probe run usually ends within the
-  // prefetched line (8-byte buckets, 8 per line).
-  void PrefetchBucket(uint32_t hash) const {
-    if (!buckets_.empty()) {
-      PrefetchLine(&buckets_[hash & mask_]);
-    }
-  }
-
-  // Resolves `count` keys in one call: first touches every home bucket so the
-  // independent cache misses overlap (memory-level parallelism), then probes
-  // each run against lines that are already in flight. out[i] receives the
-  // handle for keys[i], or kNil. Results are exactly what `count` separate
-  // Find calls would return.
-  template <typename KeyAt>
-  void FindMany(const uint32_t* hashes, const Key* keys, size_t count, uint32_t* out,
-                const KeyAt& key_at) const {
-    for (size_t i = 0; i < count; ++i) {
-      PrefetchBucket(hashes[i]);
-    }
-    for (size_t i = 0; i < count; ++i) {
-      out[i] = Find(hashes[i], keys[i], key_at);
-    }
   }
 
   // Returns the handle stored for `key`, or kNil. `key_at(handle)` must

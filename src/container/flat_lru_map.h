@@ -73,23 +73,12 @@ class FlatLruMap {
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
-  // Mixed 32-bit hash of `key` -- identical across every FlatIndex-backed
-  // container instantiated with the same Key/Hash, so a caller touching the
-  // same key in several structures can hash once and pass the value to the
-  // hash-taking overloads below.
-  uint32_t HashOf(const Key& key) const { return index_.HashOf(key); }
-
   bool Contains(const Key& key) const { return FindSlot(key) != kNil; }
 
   // Inserts (or overwrites) and makes the entry most-recent. Returns true if
   // the key was newly inserted.
   bool InsertOrTouch(const Key& key, Value value) {
-    return InsertOrTouch(key, std::move(value), index_.HashOf(key));
-  }
-
-  // Hash-taking overload: `hash` must equal HashOf(key).
-  bool InsertOrTouch(const Key& key, Value value, uint32_t hash) {
-    VCDN_DCHECK(hash == index_.HashOf(key));
+    const uint32_t hash = index_.HashOf(key);
     uint32_t s = index_.Find(hash, key, KeyAt());
     if (s != kNil) {
       slots_[s].value = std::move(value);
@@ -127,23 +116,9 @@ class FlatLruMap {
     return s == kNil ? nullptr : &slots_[s].value;
   }
 
-  // Hash-taking overload: `hash` must equal HashOf(key).
-  const Value* Peek(const Key& key, uint32_t hash) const {
-    VCDN_DCHECK(hash == index_.HashOf(key));
-    uint32_t s = index_.Find(hash, key, KeyAt());
-    return s == kNil ? nullptr : &slots_[s].value;
-  }
-
   // Mutable Peek: in-place value update without a recency change.
   Value* PeekMut(const Key& key) {
     uint32_t s = FindSlot(key);
-    return s == kNil ? nullptr : &slots_[s].value;
-  }
-
-  // Hash-taking overload: `hash` must equal HashOf(key).
-  Value* PeekMut(const Key& key, uint32_t hash) {
-    VCDN_DCHECK(hash == index_.HashOf(key));
-    uint32_t s = index_.Find(hash, key, KeyAt());
     return s == kNil ? nullptr : &slots_[s].value;
   }
 
@@ -185,12 +160,8 @@ class FlatLruMap {
   }
 
   // Removes a specific key. Returns true if it was present.
-  bool Erase(const Key& key) { return Erase(key, index_.HashOf(key)); }
-
-  // Hash-taking overload: `hash` must equal HashOf(key).
-  bool Erase(const Key& key, uint32_t hash) {
-    VCDN_DCHECK(hash == index_.HashOf(key));
-    uint32_t s = index_.Erase(hash, key, KeyAt());
+  bool Erase(const Key& key) {
+    uint32_t s = index_.Erase(index_.HashOf(key), key, KeyAt());
     if (s == kNil) {
       return false;
     }

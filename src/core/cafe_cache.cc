@@ -20,11 +20,14 @@ CafeCache::CafeCache(const CacheConfig& config, const CafeOptions& options)
   VCDN_CHECK(options_.gamma > 0.0 && options_.gamma <= 1.0);
   VCDN_CHECK(options_.history_retention_factor > 0.0);
   const auto capacity = static_cast<size_t>(config.disk_capacity_chunks);
+  // The table holds the cached chunks plus the tracked-but-uncached history,
+  // whose cleanup horizon scales with the cache age. On the scale-1.0 Fig. 7
+  // fleet (4,096-chunk disk) the history peaked at 16.8K-73.5K chunks, 4.1-18x
+  // the disk, so the slab and index start at twice the disk and grow by
+  // doubling during warm-up; steady state then allocates nothing.
+  slots_.reserve(2 * capacity);
+  index_.Reserve(2 * capacity);
   cached_.Reserve(capacity);
-  cached_stats_.Reserve(capacity);
-  // History holds roughly as many tracked-but-uncached chunks as the disk
-  // holds cached ones (the cleanup horizon scales with cache age).
-  history_.Reserve(capacity);
   if (options_.proactive) {
     // The by-key candidate pool is only maintained when proactive filling can
     // read it; otherwise it stays empty and unreserved.
@@ -53,34 +56,18 @@ double CafeCache::CacheAge(double now) const {
   if (cached_.empty()) {
     return 0.0;
   }
-  const ChunkId& least_popular = cached_.Top().second;
-  const ChunkStat* stat = cached_stats_.Peek(least_popular);
-  VCDN_DCHECK(stat != nullptr);
-  return std::max(0.0, IatOf(*stat, now));
+  return std::max(0.0, IatOf(slots_[cached_.Top().handle].stat, now));
 }
 
 double CafeCache::EstimateIat(const ChunkId& chunk, double now) const {
-  if (const ChunkStat* cached_stat = cached_stats_.Peek(chunk)) {
-    return std::max(kMinIat, IatOf(*cached_stat, now));
+  const uint32_t slot = FindSlot(chunk);
+  if (slot != kNil) {
+    return std::max(kMinIat, IatOf(slots_[slot].stat, now));
   }
-  if (const ChunkStat* stat = history_.Peek(chunk)) {
-    return std::max(kMinIat, IatOf(*stat, now));
-  }
-  return EstimateIatFromVideo(chunk.video, video_chunks_.HashOf(chunk.video), now);
+  return EstimateIatFromVideo(chunk.video, now);
 }
 
-double CafeCache::EstimateIatUncached(const ChunkId& chunk, uint32_t chunk_hash,
-                                      uint32_t video_hash, double now) const {
-  // cached_ and cached_stats_ always hold the same key set, so a chunk known
-  // missing from cached_ cannot be in cached_stats_ -- skip that probe.
-  VCDN_DCHECK(cached_stats_.Peek(chunk) == nullptr);
-  if (const ChunkStat* stat = history_.Peek(chunk, chunk_hash)) {
-    return std::max(kMinIat, IatOf(*stat, now));
-  }
-  return EstimateIatFromVideo(chunk.video, video_hash, now);
-}
-
-double CafeCache::EstimateIatFromVideo(VideoId video, uint32_t video_hash, double now) const {
+double CafeCache::EstimateIatFromVideo(VideoId video, double now) const {
   if (!options_.estimate_unseen_from_video) {
     return kInfinity;
   }
@@ -89,13 +76,79 @@ double CafeCache::EstimateIatFromVideo(VideoId video, uint32_t video_hash, doubl
   // max() is order-independent, so the set's iteration order is immaterial.
   bool any = false;
   double worst = 0.0;
-  video_chunks_.ForEach(video, video_hash, [&](uint32_t index) {
-    const ChunkStat* stat = cached_stats_.Peek(ChunkId{video, index});
-    VCDN_DCHECK(stat != nullptr);
+  video_chunks_.ForEach(video, [&](uint32_t slot) {
+    VCDN_DCHECK(IsCached(slot));
     any = true;
-    worst = std::max(worst, IatOf(*stat, now));
+    worst = std::max(worst, IatOf(slots_[slot].stat, now));
   });
   return any ? std::max(kMinIat, worst) : kInfinity;
+}
+
+uint32_t CafeCache::NewSlot(const ChunkId& chunk, const ChunkStat& stat) {
+  uint32_t slot;
+  if (free_ != kNil) {
+    slot = free_;
+    free_ = slots_[slot].next;
+  } else {
+    VCDN_CHECK_MSG(slots_.size() < kCachedMark, "Cafe chunk table slab limit exceeded");
+    slot = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back();
+  }
+  Slot& s = slots_[slot];
+  s.video = chunk.video;
+  s.index = chunk.index;
+  s.stat = stat;
+  index_.Insert(index_.HashOf(chunk), slot);
+  return slot;
+}
+
+void CafeCache::HistoryPush(uint32_t slot) {
+  Slot& s = slots_[slot];
+  s.prev = kNil;
+  s.next = history_head_;
+  if (history_head_ != kNil) {
+    slots_[history_head_].prev = slot;
+  } else {
+    history_tail_ = slot;
+  }
+  history_head_ = slot;
+  ++history_size_;
+  if (options_.proactive) {
+    history_by_key_.Push(VirtualKey(s.stat), slot, Slots());
+  }
+}
+
+void CafeCache::HistoryUnlink(uint32_t slot) {
+  const Slot& s = slots_[slot];
+  VCDN_DCHECK(!IsCached(slot));
+  if (s.prev != kNil) {
+    slots_[s.prev].next = s.next;
+  } else {
+    history_head_ = s.next;
+  }
+  if (s.next != kNil) {
+    slots_[s.next].prev = s.prev;
+  } else {
+    history_tail_ = s.prev;
+  }
+  --history_size_;
+  if (options_.proactive) {
+    history_by_key_.Remove(s.heap_pos, Slots());
+  }
+}
+
+void CafeCache::CacheInsert(uint32_t slot) {
+  Slot& s = slots_[slot];
+  s.prev = kCachedMark;
+  cached_.Push(VirtualKey(s.stat), slot, Slots());
+  video_chunks_.Insert(s.video, slot);
+}
+
+void CafeCache::CacheEvict(uint32_t slot) {
+  VCDN_DCHECK(IsCached(slot));
+  cached_.Remove(slots_[slot].heap_pos, Slots());
+  video_chunks_.Erase(slots_[slot].video, slot);
+  HistoryPush(slot);
 }
 
 void CafeCache::CleanupHistory(double now) {
@@ -104,56 +157,23 @@ void CafeCache::CleanupHistory(double now) {
     return;
   }
   double horizon = age * options_.history_retention_factor / std::min(1.0, config_.alpha_f2r);
-  while (!history_.empty() && now - history_.Oldest().value.t_last > horizon) {
-    if (options_.proactive) {
-      history_by_key_.Erase(history_.Oldest().key);
-    }
-    history_.PopOldest();
+  while (history_tail_ != kNil && now - slots_[history_tail_].stat.t_last > horizon) {
+    const uint32_t slot = history_tail_;
+    const ChunkId chunk = slots_[slot].id();
+    index_.Erase(index_.HashOf(chunk), chunk, KeyAtFn{&slots_});
+    HistoryUnlink(slot);
+    slots_[slot].next = free_;
+    free_ = slot;
   }
   while (!video_seen_.empty() && now - video_seen_.Oldest().value > horizon) {
     video_seen_.PopOldest();
   }
 }
 
-void CafeCache::HistoryPut(const ChunkId& chunk, const ChunkStat& stat, uint32_t chunk_hash) {
-  history_.InsertOrTouch(chunk, stat, chunk_hash);
-  if (options_.proactive) {
-    history_by_key_.InsertOrUpdate(chunk, VirtualKey(stat), chunk_hash);
-  }
-}
-
-void CafeCache::HistoryErase(const ChunkId& chunk, uint32_t chunk_hash) {
-  history_.Erase(chunk, chunk_hash);
-  if (options_.proactive) {
-    history_by_key_.Erase(chunk, chunk_hash);
-  }
-}
-
-void CafeCache::CacheInsert(const ChunkId& chunk, const ChunkStat& stat, uint32_t chunk_hash,
-                            uint32_t video_hash) {
-  cached_stats_.InsertOrTouch(chunk, stat, chunk_hash);
-  cached_.InsertOrUpdate(chunk, VirtualKey(stat), chunk_hash);
-  video_chunks_.Insert(chunk.video, chunk.index, video_hash);
-}
-
-void CafeCache::CacheEvict(const ChunkId& chunk) {
-  // Victims are arbitrary chunks (not the request's), so their hashes are not
-  // pre-computed; hash once here and reuse across the five probes.
-  const uint32_t chunk_hash = cached_stats_.HashOf(chunk);
-  const uint32_t video_hash = video_chunks_.HashOf(chunk.video);
-  const ChunkStat* stat = cached_stats_.Peek(chunk, chunk_hash);
-  VCDN_DCHECK(stat != nullptr);
-  HistoryPut(chunk, *stat, chunk_hash);
-  cached_stats_.Erase(chunk, chunk_hash);
-  cached_.Erase(chunk, chunk_hash);
-  video_chunks_.Erase(chunk.video, chunk.index, video_hash);
-}
-
 uint64_t CafeCache::EvictDownTo(uint64_t max_chunks) {
   uint64_t evicted = 0;
   while (cached_.size() > max_chunks) {
-    ChunkId victim = cached_.Top().second;  // copy: eviction invalidates refs
-    CacheEvict(victim);
+    CacheEvict(cached_.Top().handle);
     ++evicted;
   }
   return evicted;
@@ -169,36 +189,31 @@ uint32_t CafeCache::ProactiveFill(double now) {
   const double min_cost = cost_.min_cost();
   uint32_t filled = 0;
   while (filled < options_.proactive_fills_per_request && !history_by_key_.empty()) {
-    auto [key, chunk] = history_by_key_.Top();  // most popular uncached chunk
-    const ChunkStat* stat = history_.Peek(chunk);
-    VCDN_DCHECK(stat != nullptr);
+    // Most popular uncached chunk.
+    const auto [key, slot] = history_by_key_.Top();
 
     // Prefetch only when it pays under Cafe's own cost model (Eqs. 6-7):
     // the expected future redirects/fills avoided must exceed the fill cost
     // plus, if the disk is full, the victim's own expected future value.
-    double gain = window / std::max(kMinIat, IatOf(*stat, now)) * min_cost;
+    double gain = window / std::max(kMinIat, IatOf(slots_[slot].stat, now)) * min_cost;
     bool disk_full = cached_.size() >= config_.disk_capacity_chunks;
     if (disk_full) {
-      if (cached_.empty() || key <= cached_.Top().first) {
+      if (cached_.empty() || key <= cached_.Top().score) {
         break;
       }
-      const ChunkStat* victim_stat = cached_stats_.Peek(cached_.Top().second);
-      VCDN_DCHECK(victim_stat != nullptr);
-      gain -= window / std::max(kMinIat, IatOf(*victim_stat, now)) * min_cost;
+      const ChunkStat& victim_stat = slots_[cached_.Top().handle].stat;
+      gain -= window / std::max(kMinIat, IatOf(victim_stat, now)) * min_cost;
     }
     if (gain <= cost_.fill_cost() * options_.proactive_cost_discount) {
       // Candidates are popularity-ordered; nothing further down can pay.
       break;
     }
 
-    ChunkStat moved = *stat;
-    const uint32_t chunk_hash = history_.HashOf(chunk);
-    HistoryErase(chunk, chunk_hash);
+    HistoryUnlink(slot);
     if (disk_full) {
-      ChunkId victim = cached_.Top().second;  // copy: eviction invalidates refs
-      CacheEvict(victim);
+      CacheEvict(cached_.Top().handle);
     }
-    CacheInsert(chunk, moved, chunk_hash, video_chunks_.HashOf(chunk.video));
+    CacheInsert(slot);
     ++filled;
   }
   return filled;
@@ -217,88 +232,62 @@ void CafeCache::OnAttachMetrics(obs::MetricsRegistry& registry, const std::strin
 }
 
 void CafeCache::OnOutcomeRecorded() {
-  history_chunks_gauge_.Set(static_cast<double>(history_.size()));
+  history_chunks_gauge_.Set(static_cast<double>(history_size_));
   tracked_videos_gauge_.Set(static_cast<double>(video_seen_.size()));
   cache_age_gauge_.Set(CacheAge(last_arrival_));
   request_rate_gauge_.Set(rate_estimate_);
 }
 
-void CafeCache::ComputeHashes(const trace::Request& request, RequestHashes& out) const {
-  // video_seen_ and video_chunks_ share their hash (same Key/Hash pair), as
-  // do cached_, cached_stats_, history_ and history_by_key_ (ChunkIdHash).
-  out.video_hash = video_seen_.HashOf(request.video);
-  ChunkRange range = ToChunkRange(request, config_.chunk_bytes);
-  out.chunk_hashes.clear();
-  out.chunk_hashes.reserve(range.count());
-  for (uint32_t c = range.first; c <= range.last; ++c) {
-    out.chunk_hashes.push_back(cached_.HashOf(ChunkId{request.video, c}));
-  }
-}
-
 RequestOutcome CafeCache::HandleRequestImpl(const trace::Request& request) {
-  RequestHashes& hashes = hashes_;
-  ComputeHashes(request, hashes);
   const double now = request.arrival_time;
   if (first_request_time_ < 0.0) {
     first_request_time_ = now;
   }
   RequestOutcome outcome = MakeOutcome(request);
-  ChunkRange range = ToChunkRange(request, config_.chunk_bytes);
-  const size_t chunk_count = range.count();
-  VCDN_DCHECK(hashes.chunk_hashes.size() == chunk_count);
+  const ChunkRange range = ToChunkRange(request, config_.chunk_bytes);
+  const uint32_t chunk_count = range.count();
 
-  // Classify the requested chunks (S) into present and missing (S'), with
-  // the membership probes interleaved so their index misses overlap.
-  std::vector<ChunkId>& all_chunks = all_chunks_scratch_;
-  std::vector<ChunkId>& missing = missing_scratch_;
-  std::vector<uint32_t>& missing_hashes = missing_hash_scratch_;
-  all_chunks.clear();
-  missing.clear();
-  missing_hashes.clear();
-  all_chunks.reserve(chunk_count);
+  // Classify the requested chunks (S) with one table probe each: a slot is
+  // cached (a hit), uncached with history, or kNil (untracked). The missing
+  // set S' is every requested chunk that is not cached.
+  std::vector<uint32_t>& slots = request_slots_;
+  slots.clear();
+  uint32_t missing = 0;
   for (uint32_t c = range.first; c <= range.last; ++c) {
-    all_chunks.push_back(ChunkId{request.video, c});
-  }
-  contains_scratch_.resize(chunk_count);
-  cached_.ContainsMany(all_chunks.data(), hashes.chunk_hashes.data(), chunk_count,
-                       contains_scratch_.data());
-  for (size_t i = 0; i < chunk_count; ++i) {
-    if (!contains_scratch_[i]) {
-      missing.push_back(all_chunks[i]);
-      missing_hashes.push_back(hashes.chunk_hashes[i]);
+    const uint32_t slot = FindSlot(ChunkId{request.video, c});
+    slots.push_back(slot);
+    if (slot == kNil || !IsCached(slot)) {
+      ++missing;
     }
   }
-  outcome.hit_chunks = static_cast<uint32_t>(chunk_count - missing.size());
+  outcome.hit_chunks = chunk_count - missing;
 
   // First-ever request for this video: no popularity signal at all; redirect
   // (the same rule as xLRU's "t == NULL" -- Sec. 9.2 confirms Cafe
   // intentionally never admits a never-seen file). One InsertOrTouch both
   // reads the previous presence and records this request's touch.
-  const bool video_seen = !video_seen_.InsertOrTouch(request.video, now, hashes.video_hash);
+  const bool video_seen = !video_seen_.InsertOrTouch(request.video, now);
 
   bool admit = false;
-  std::vector<std::pair<ChunkId, double>>& victims = victims_scratch_;  // (chunk, IAT at now)
+  std::vector<std::pair<uint32_t, double>>& victims = victims_scratch_;  // (slot, IAT at now)
   victims.clear();
   if (video_seen && chunk_count <= config_.disk_capacity_chunks) {
     // Select eviction victims S'': the least popular cached chunks, skipping
     // requested ones. Only as many as the fill would overflow the disk.
-    uint64_t needed = cached_.size() + missing.size();
+    uint64_t needed = cached_.size() + missing;
     uint64_t evictions = needed > config_.disk_capacity_chunks
                              ? needed - config_.disk_capacity_chunks
                              : 0;
     if (evictions > 0) {
-      cached_.ScanInOrder([&](const auto& item) {
-        const ChunkId& chunk = item.second;
+      cached_.ScanInOrder(Slots(), [&](const auto& entry) {
         if (victims.size() >= evictions) {
           return false;
         }
-        if (chunk.video == request.video && chunk.index >= range.first &&
-            chunk.index <= range.last) {
+        const Slot& s = slots_[entry.handle];
+        if (s.video == request.video && s.index >= range.first && s.index <= range.last) {
           return true;  // never evict a chunk this request needs
         }
-        const ChunkStat* stat = cached_stats_.Peek(chunk);
-        VCDN_DCHECK(stat != nullptr);
-        victims.emplace_back(chunk, std::max(kMinIat, IatOf(*stat, now)));
+        victims.emplace_back(entry.handle, std::max(kMinIat, IatOf(s.stat, now)));
         return victims.size() < evictions;
       });
       VCDN_CHECK(victims.size() == evictions);
@@ -313,13 +302,17 @@ RequestOutcome CafeCache::HandleRequestImpl(const trace::Request& request) {
 
     // Eqs. (6) and (7).
     double min_cost = cost_.min_cost();
-    double cost_serve = static_cast<double>(missing.size()) * cost_.fill_cost();
-    for (const auto& [chunk, iat] : victims) {
+    double cost_serve = static_cast<double>(missing) * cost_.fill_cost();
+    for (const auto& [slot, iat] : victims) {
       cost_serve += window / iat * min_cost;
     }
-    double cost_redirect = static_cast<double>(all_chunks.size()) * cost_.redirect_cost();
-    for (size_t i = 0; i < missing.size(); ++i) {
-      double iat = EstimateIatUncached(missing[i], missing_hashes[i], hashes.video_hash, now);
+    double cost_redirect = static_cast<double>(chunk_count) * cost_.redirect_cost();
+    for (const uint32_t slot : slots) {
+      if (slot != kNil && IsCached(slot)) {
+        continue;
+      }
+      const double iat = slot != kNil ? std::max(kMinIat, IatOf(slots_[slot].stat, now))
+                                      : EstimateIatFromVideo(request.video, now);
       if (std::isfinite(iat)) {
         cost_redirect += window / iat * min_cost;
       }
@@ -329,36 +322,11 @@ RequestOutcome CafeCache::HandleRequestImpl(const trace::Request& request) {
 
   if (admit) {
     admit_serve_total_.Increment();
-    // Evict S'' (stats move to history), fill S', touch all of S.
-    for (const auto& [chunk, iat] : victims) {
+    // Evict S'' (stats move to history) before filling S'.
+    for (const auto& [slot, iat] : victims) {
       (void)iat;
-      CacheEvict(chunk);
+      CacheEvict(slot);
       ++outcome.evicted_chunks;
-    }
-    for (size_t i = 0; i < chunk_count; ++i) {
-      const ChunkId& chunk = all_chunks[i];
-      const uint32_t chunk_hash = hashes.chunk_hashes[i];
-      if (ChunkStat* stat = cached_stats_.PeekMut(chunk, chunk_hash)) {
-        // Hit: EWMA update and re-key.
-        UpdateStat(*stat, now);
-        cached_.InsertOrUpdate(chunk, VirtualKey(*stat), chunk_hash);
-        continue;
-      }
-      // Fill: seed the stat from history, or initialize a fresh one. The
-      // chunk is uncached and (in the else branch) untracked, so the IAT
-      // estimate goes straight to the per-video fallback.
-      ChunkStat stat;
-      if (const ChunkStat* h = history_.Peek(chunk, chunk_hash)) {
-        stat = *h;
-        HistoryErase(chunk, chunk_hash);
-        UpdateStat(stat, now);
-      } else {
-        double estimate = EstimateIatFromVideo(request.video, hashes.video_hash, now);
-        stat.dt = std::isfinite(estimate) ? estimate : std::max(CacheAge(now), kMinIat);
-        stat.t_last = now;
-      }
-      CacheInsert(chunk, stat, chunk_hash, hashes.video_hash);
-      ++outcome.filled_chunks;
     }
     outcome.decision = Decision::kServe;
   } else {
@@ -369,29 +337,37 @@ RequestOutcome CafeCache::HandleRequestImpl(const trace::Request& request) {
     } else {
       admit_redirect_cost_total_.Increment();
     }
-    // Redirect. The request still signals popularity: update every requested
-    // chunk's stat (cached chunks get re-keyed, uncached ones tracked in
-    // history).
-    for (size_t i = 0; i < chunk_count; ++i) {
-      const ChunkId& chunk = all_chunks[i];
-      const uint32_t chunk_hash = hashes.chunk_hashes[i];
-      if (ChunkStat* cached_stat = cached_stats_.PeekMut(chunk, chunk_hash)) {
-        UpdateStat(*cached_stat, now);
-        cached_.InsertOrUpdate(chunk, VirtualKey(*cached_stat), chunk_hash);
-        continue;
-      }
-      ChunkStat stat;
-      if (const ChunkStat* h = history_.Peek(chunk, chunk_hash)) {
-        stat = *h;
-        UpdateStat(stat, now);
-      } else {
-        double estimate = EstimateIatFromVideo(request.video, hashes.video_hash, now);
-        stat.dt = std::isfinite(estimate) ? estimate : std::max(CacheAge(now), kMinIat);
-        stat.t_last = now;
-      }
-      HistoryPut(chunk, stat, chunk_hash);
-    }
     outcome.decision = Decision::kRedirect;
+  }
+  // Touch all of S: either way the request signals popularity. Cached chunks
+  // get an EWMA update and are re-keyed; an uncached chunk's stat is carried
+  // over from history, or seeded from the per-video fallback (which sees this
+  // request's earlier fills), and the chunk is filled (serve) or moved to the
+  // front of the history (redirect).
+  for (uint32_t i = 0; i < chunk_count; ++i) {
+    uint32_t slot = slots[i];
+    if (slot != kNil && IsCached(slot)) {
+      ChunkStat& stat = slots_[slot].stat;
+      UpdateStat(stat, now);
+      cached_.Update(slots_[slot].heap_pos, VirtualKey(stat), Slots());
+      continue;
+    }
+    if (slot != kNil) {
+      HistoryUnlink(slot);
+      UpdateStat(slots_[slot].stat, now);
+    } else {
+      ChunkStat stat;
+      double estimate = EstimateIatFromVideo(request.video, now);
+      stat.dt = std::isfinite(estimate) ? estimate : std::max(CacheAge(now), kMinIat);
+      stat.t_last = now;
+      slot = NewSlot(ChunkId{request.video, range.first + i}, stat);
+    }
+    if (admit) {
+      CacheInsert(slot);
+      ++outcome.filled_chunks;
+    } else {
+      HistoryPush(slot);
+    }
   }
 
   // Request-rate tracking and, when enabled, off-peak prefetching (Sec. 10).

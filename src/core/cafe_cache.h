@@ -26,11 +26,17 @@
 // among their video's cached chunks (Sec. 6's final optimization); failing
 // that they contribute no expected future cost.
 //
-// Chunks are ordered in flat ScoreHeaps (ties broken by chunk id, so victim
-// order is deterministic) and their stats kept in slab-backed FlatLruMaps;
-// steady-state admission performs no heap allocation.
-// container_flat_differential_test pins the decisions with a golden outcome
-// digest.
+// Every tracked chunk -- cached, or uncached with popularity history -- has
+// one slot in a single chunk table: a slab of 40-byte slots (id, stat, heap
+// position, recency links) under one FlatIndex<ChunkId>. A cached slot sits
+// in a min-heap of inline (virtual key, handle) entries, ties broken by chunk
+// id so victim order is deterministic; an uncached slot sits on an intrusive
+// recency list (and, in proactive mode, in a max-heap of the same entries).
+// Each requested chunk is probed once; eviction, fill-from-history and
+// re-keying move a handle between these structures, and only history cleanup
+// erases from the index. Steady-state admission performs no heap allocation.
+// container_flat_differential_test pins the decisions with golden outcome
+// digests (default, proactive and no-video-estimate options).
 
 #ifndef VCDN_SRC_CORE_CAFE_CACHE_H_
 #define VCDN_SRC_CORE_CAFE_CACHE_H_
@@ -41,8 +47,9 @@
 #include <vector>
 
 #include "src/container/chunk_set_map.h"
+#include "src/container/flat_index.h"
 #include "src/container/flat_lru_map.h"
-#include "src/container/score_heap.h"
+#include "src/container/indexed_heap.h"
 #include "src/core/cache_algorithm.h"
 
 namespace vcdn::core {
@@ -83,7 +90,10 @@ class CafeCache : public CacheAlgorithm {
 
   std::string_view name() const override { return "Cafe"; }
   uint64_t used_chunks() const override { return cached_.size(); }
-  bool ContainsChunk(const ChunkId& chunk) const override { return cached_.Contains(chunk); }
+  bool ContainsChunk(const ChunkId& chunk) const override {
+    const uint32_t slot = FindSlot(chunk);
+    return slot != kNil && IsCached(slot);
+  }
 
   // IAT of the least popular cached chunk at `now` (the window T / cache
   // age); 0 when the cache is empty. Exposed for tests.
@@ -94,7 +104,7 @@ class CafeCache : public CacheAlgorithm {
   // Exposed for tests.
   double EstimateIat(const ChunkId& chunk, double now) const;
 
-  size_t tracked_history_chunks() const { return history_.size(); }
+  size_t tracked_history_chunks() const { return history_size_; }
 
  protected:
   RequestOutcome HandleRequestImpl(const trace::Request& request) override;
@@ -105,18 +115,45 @@ class CafeCache : public CacheAlgorithm {
   void OnOutcomeRecorded() override;
 
  private:
+  static constexpr uint32_t kNil = UINT32_MAX;
+  // Slot::prev of a cached slot (cached slots are on no recency list).
+  static constexpr uint32_t kCachedMark = UINT32_MAX - 1;
+
   struct ChunkStat {
     double dt = 0.0;      // EWMA-smoothed inter-arrival time
     double t_last = 0.0;  // last access time
   };
 
-  // Pre-hashed probe targets of one request. Every ChunkId-keyed flat
-  // structure (cached_, cached_stats_, history_, history_by_key_) and both
-  // VideoId-keyed ones (video_seen_, video_chunks_) share their respective
-  // mixed hash, so one pass covers all probes of the request.
-  struct RequestHashes {
-    uint32_t video_hash = 0;
-    std::vector<uint32_t> chunk_hashes;  // one per chunk of the range
+  // One tracked chunk. The ChunkId is stored as its two fields so the heap
+  // position fits in what would be ChunkId's padding.
+  struct Slot {
+    VideoId video = 0;
+    uint32_t index = 0;
+    // Position in cached_ while cached, in history_by_key_ while uncached
+    // (proactive mode only).
+    uint32_t heap_pos = kNil;
+    ChunkStat stat;
+    // History recency links while uncached; prev == kCachedMark while
+    // cached. `next` doubles as the free-list link while the slot is free.
+    uint32_t prev = kNil;
+    uint32_t next = kNil;
+
+    ChunkId id() const { return ChunkId{video, index}; }
+  };
+  static_assert(sizeof(Slot) <= 40, "a chunk-table slot must stay within 40 bytes");
+
+  // The heaps' view of the slab: heap-position bookkeeping and chunk-id
+  // tie-breaks.
+  struct HeapSlots {
+    std::vector<Slot>* slots;
+    void SetPos(uint32_t slot, uint32_t pos) const { (*slots)[slot].heap_pos = pos; }
+    bool IdLess(uint32_t a, uint32_t b) const { return (*slots)[a].id() < (*slots)[b].id(); }
+  };
+  HeapSlots Slots() { return HeapSlots{&slots_}; }
+
+  struct KeyAtFn {
+    const std::vector<Slot>* slots;
+    ChunkId operator()(uint32_t slot) const { return (*slots)[slot].id(); }
   };
 
   double IatOf(const ChunkStat& stat, double now) const;
@@ -125,45 +162,48 @@ class CafeCache : public CacheAlgorithm {
   void UpdateStat(ChunkStat& stat, double now) const;
   void CleanupHistory(double now);
 
-  void ComputeHashes(const trace::Request& request, RequestHashes& out) const;
+  // Straight to the per-video largest cached IAT of Sec. 6, or +infinity.
+  double EstimateIatFromVideo(VideoId video, double now) const;
 
-  // EstimateIat split for call sites that already know probe outcomes:
-  // `chunk` known uncached (skips the cached_stats_ probe) ...
-  double EstimateIatUncached(const ChunkId& chunk, uint32_t chunk_hash, uint32_t video_hash,
-                             double now) const;
-  // ... or known uncached and untracked (straight to the per-video largest
-  // cached IAT of Sec. 6, or +infinity).
-  double EstimateIatFromVideo(VideoId video, uint32_t video_hash, double now) const;
-
-  // History bookkeeping. history_by_key_ (the proactive-fill candidate pool)
-  // is only maintained when options_.proactive is set -- nothing reads it
-  // otherwise, and its upkeep was a measurable share of the hot path.
-  void HistoryPut(const ChunkId& chunk, const ChunkStat& stat, uint32_t chunk_hash);
-  void HistoryErase(const ChunkId& chunk, uint32_t chunk_hash);
-  // Moves a chunk's stat into the cached structures.
-  void CacheInsert(const ChunkId& chunk, const ChunkStat& stat, uint32_t chunk_hash,
-                   uint32_t video_hash);
-  // Evicts a cached chunk, moving its stat back to history.
-  void CacheEvict(const ChunkId& chunk);
+  // Chunk table. FindSlot is the only probe by id; everything else moves
+  // handles.
+  uint32_t FindSlot(const ChunkId& chunk) const {
+    return index_.Find(index_.HashOf(chunk), chunk, KeyAtFn{&slots_});
+  }
+  bool IsCached(uint32_t slot) const { return slots_[slot].prev == kCachedMark; }
+  // Adds an untracked chunk to the table; the caller links it (history or
+  // cache).
+  uint32_t NewSlot(const ChunkId& chunk, const ChunkStat& stat);
+  // Uncached slot -> front of the history recency list (proactive: also into
+  // history_by_key_).
+  void HistoryPush(uint32_t slot);
+  // Takes an uncached slot off the history structures.
+  void HistoryUnlink(uint32_t slot);
+  // Uncached, unlinked slot -> cache.
+  void CacheInsert(uint32_t slot);
+  // Cached slot -> history (a cold restart keeps the popularity signal).
+  void CacheEvict(uint32_t slot);
   // Off-peak prefetching; returns the number of chunks filled.
   uint32_t ProactiveFill(double now);
 
   CafeOptions options_;
 
-  // Cached chunks ordered by virtual timestamp (Top() = least popular),
-  // plus their popularity stats (recency order unused; the map is the flat
-  // slab store).
-  container::ScoreHeap<ChunkId, double, ChunkIdHash> cached_;
-  container::FlatLruMap<ChunkId, ChunkStat, ChunkIdHash> cached_stats_;
-  // Chunks of each video currently on disk (for the unseen-chunk estimate).
+  std::vector<Slot> slots_;
+  container::FlatIndex<ChunkId, ChunkIdHash> index_;
+  uint32_t free_ = kNil;
+  // Cached slots by virtual key (Top() = least popular).
+  container::IndexedHeap<double> cached_;
+  // Uncached slots in recency order (head = most recent), for cleanup.
+  uint32_t history_head_ = kNil;
+  uint32_t history_tail_ = kNil;
+  uint32_t history_size_ = 0;
+  // Uncached slots by virtual key (Top() = most popular), the proactive-fill
+  // candidate pool; maintained only when options_.proactive is set.
+  container::IndexedHeap<double, /*kMaxFirst=*/true> history_by_key_;
+  // Slot handles of each video's cached chunks (the unseen-chunk estimate).
   container::FlatChunkSetMap video_chunks_;
-  // Popularity history of chunks *not* on disk, in recency order for cleanup.
-  container::FlatLruMap<ChunkId, ChunkStat, ChunkIdHash> history_;
-  // The same chunks ordered by virtual timestamp (Top() = most popular
-  // uncached chunk), the proactive-fill candidate pool.
-  container::ScoreHeap<ChunkId, double, ChunkIdHash, /*kMaxFirst=*/true> history_by_key_;
-  // Videos ever seen (recency-ordered, cleaned with history_); a request for
-  // a never-seen video is always redirected, as in xLRU.
+  // Videos ever seen (recency-ordered, cleaned with the history); a request
+  // for a never-seen video is always redirected, as in xLRU.
   container::FlatLruMap<VideoId, double> video_seen_;
   double first_request_time_ = -1.0;
 
@@ -173,13 +213,10 @@ class CafeCache : public CacheAlgorithm {
   double peak_rate_ = 0.0;
 
   // Reused across requests so the serve path does not allocate in steady
-  // state.
-  std::vector<ChunkId> all_chunks_scratch_;
-  std::vector<ChunkId> missing_scratch_;
-  std::vector<std::pair<ChunkId, double>> victims_scratch_;
-  std::vector<uint8_t> contains_scratch_;
-  std::vector<uint32_t> missing_hash_scratch_;
-  RequestHashes hashes_;
+  // state: the requested chunks' slots (kNil when untracked) and the
+  // eviction victims S'' as (slot, IAT at now).
+  std::vector<uint32_t> request_slots_;
+  std::vector<std::pair<uint32_t, double>> victims_scratch_;
 
   // Observability (no-ops until AttachMetrics): the admission-decision mix of
   // Eqs. (6)-(7) and the popularity-tracking queue depths.

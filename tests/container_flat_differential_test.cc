@@ -244,21 +244,19 @@ TEST(FlatDifferentialTest, ChunkSetMapMatchesNestedHashSets) {
   for (size_t i = 0; i < kOps; ++i) {
     const uint64_t video = rng.Next64() % kVideoRange;
     const uint32_t chunk = rng.NextBounded(kChunkRange);
-    const uint32_t hash = flat.HashOf(video);
     auto it = ref.find(video);
     const bool present = it != ref.end() && it->second.count(chunk) > 0;
     const uint32_t op = rng.NextBounded(100);
     // Insert and Erase have preconditions (absent / present), so each
-    // mutates only when the oracle says it may; the hash-taking overloads
-    // take odd-numbered steps.
+    // mutates only when the oracle says it may.
     if (op < 40) {
       if (!present) {
-        i % 2 == 0 ? flat.Insert(video, chunk) : flat.Insert(video, chunk, hash);
+        flat.Insert(video, chunk);
         ref[video].insert(chunk);
       }
     } else if (op < 70) {
       if (present) {
-        i % 2 == 0 ? flat.Erase(video, chunk) : flat.Erase(video, chunk, hash);
+        flat.Erase(video, chunk);
         it->second.erase(chunk);
         if (it->second.empty()) {
           ref.erase(it);
@@ -300,20 +298,30 @@ core::CacheConfig DifferentialConfig() {
   return config;
 }
 
+struct GoldenRun {
+  uint64_t digest = 0;
+  uint64_t proactive_fills = 0;
+};
+
 // Replays the golden stream -- 60K seeded requests in four segments, with
 // Resize(3/4), Resize(back) and DropContents between them -- and returns the
 // sim::OutcomeDigest of every outcome plus one marker record per event
 // (used_chunks() and the event's eviction count). batch_size 0 feeds
 // HandleRequest; otherwise HandleRequestBatch windows of batch_size, cut at
-// the events.
-uint64_t GoldenReplayDigest(core::CacheAlgorithm& cache, size_t batch_size) {
+// the events. Requests arrive every 0.05 s; with `alternating_spacing`,
+// blocks of 1,000 requests alternate between 0.05 s and 1 s apart, so the
+// request rate drops well below its peak and proactive Cafe prefetches.
+GoldenRun GoldenReplay(core::CacheAlgorithm& cache, size_t batch_size,
+                       bool alternating_spacing = false) {
   constexpr size_t kSegment = 15'000;
   util::Pcg32 rng(21);
   const uint64_t capacity = cache.config().disk_capacity_chunks;
   sim::OutcomeDigest digest;
+  GoldenRun run;
   std::vector<trace::Request> window(std::max<size_t>(batch_size, 1));
   std::vector<core::RequestOutcome> outcomes(window.size());
   double t = 0.0;
+  uint64_t sent = 0;
   auto fold_event = [&](uint64_t evicted) {
     digest.FoldFields(0xFF, 0xFF, cache.used_chunks(), 0, 0, static_cast<uint32_t>(evicted));
   };
@@ -321,7 +329,8 @@ uint64_t GoldenReplayDigest(core::CacheAlgorithm& cache, size_t batch_size) {
     for (size_t done = 0; done < kSegment;) {
       size_t n = std::min(window.size(), kSegment - done);
       for (size_t i = 0; i < n; ++i) {
-        t += 0.05;
+        const bool slow = alternating_spacing && (sent++ / 1000) % 2 == 1;
+        t += slow ? 1.0 : 0.05;
         window[i] = SkewedRequest(rng, 4000, t);
       }
       if (batch_size == 0) {
@@ -331,6 +340,7 @@ uint64_t GoldenReplayDigest(core::CacheAlgorithm& cache, size_t batch_size) {
       }
       for (size_t i = 0; i < n; ++i) {
         digest.Fold(outcomes[i]);
+        run.proactive_fills += outcomes[i].proactive_filled_chunks;
       }
       done += n;
     }
@@ -343,25 +353,51 @@ uint64_t GoldenReplayDigest(core::CacheAlgorithm& cache, size_t batch_size) {
   fold_event(cache.DropContents());
   run_segment();
   fold_event(0);
-  return digest.value();
+  run.digest = digest.value();
+  return run;
 }
 
 // Recorded when each algorithm ran on both the flat and the node-based
 // containers; the two agreed, through both entry points.
 constexpr uint64_t kXlruGoldenDigest = 0x3f18027fa0ff58ffULL;
 constexpr uint64_t kCafeGoldenDigest = 0xd6061f97eb5c5285ULL;
+// Recorded on the four-table Cafe (separate cached / cached-stats / history /
+// history-by-key containers) before the single chunk table replaced it.
+constexpr uint64_t kCafeProactiveGoldenDigest = 0xe3e6d1779d1d0721ULL;
+constexpr uint64_t kCafeNoVideoEstimateGoldenDigest = 0x34df75d987b7ec74ULL;
 
 TEST(GoldenDigestTest, XlruReplayMatchesGolden) {
   for (size_t batch_size : {size_t{0}, size_t{16}}) {
     core::XlruCache cache(DifferentialConfig());
-    EXPECT_EQ(GoldenReplayDigest(cache, batch_size), kXlruGoldenDigest) << "batch " << batch_size;
+    EXPECT_EQ(GoldenReplay(cache, batch_size).digest, kXlruGoldenDigest) << "batch " << batch_size;
   }
 }
 
 TEST(GoldenDigestTest, CafeReplayMatchesGolden) {
   for (size_t batch_size : {size_t{0}, size_t{16}}) {
     core::CafeCache cache(DifferentialConfig());
-    EXPECT_EQ(GoldenReplayDigest(cache, batch_size), kCafeGoldenDigest) << "batch " << batch_size;
+    EXPECT_EQ(GoldenReplay(cache, batch_size).digest, kCafeGoldenDigest) << "batch " << batch_size;
+  }
+}
+
+TEST(GoldenDigestTest, ProactiveCafeReplayMatchesGolden) {
+  core::CafeOptions options;
+  options.proactive = true;
+  for (size_t batch_size : {size_t{0}, size_t{16}}) {
+    core::CafeCache cache(DifferentialConfig(), options);
+    const GoldenRun run = GoldenReplay(cache, batch_size, /*alternating_spacing=*/true);
+    EXPECT_GT(run.proactive_fills, 0u) << "batch " << batch_size;
+    EXPECT_EQ(run.digest, kCafeProactiveGoldenDigest) << "batch " << batch_size;
+  }
+}
+
+TEST(GoldenDigestTest, CafeWithoutVideoEstimateReplayMatchesGolden) {
+  core::CafeOptions options;
+  options.estimate_unseen_from_video = false;
+  for (size_t batch_size : {size_t{0}, size_t{16}}) {
+    core::CafeCache cache(DifferentialConfig(), options);
+    EXPECT_EQ(GoldenReplay(cache, batch_size).digest, kCafeNoVideoEstimateGoldenDigest)
+        << "batch " << batch_size;
   }
 }
 
@@ -462,7 +498,7 @@ TEST(FlatAllocationTest, XlruRequestPathSteadyStateIsAllocationFree) {
 }
 
 TEST(FlatAllocationTest, CafeRequestPathSteadyStateIsAllocationFree) {
-  // The flat Cafe request path -- ContainsMany classification, EWMA updates,
+  // The flat Cafe request path -- chunk-table classification, EWMA updates,
   // history transitions, victim scans, the flattened video->chunks map and
   // periodic CleanupHistory -- must reach a fixed working set: after warm-up,
   // single-request admission performs zero heap allocations.

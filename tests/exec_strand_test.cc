@@ -115,6 +115,10 @@ TEST(StrandTest, MaintainsMetricsInstruments) {
     strand.Post([] {});
   }
   strand.Async([] {}).Get();
+  // The executed counter is bumped after the handler returns, i.e. after
+  // Async's promise is fulfilled; joining the pool makes the final count
+  // visible.
+  pool.Shutdown();
   EXPECT_EQ(registry.CounterValue("exec.strand.posted_total"), 41u);
   EXPECT_EQ(registry.CounterValue("exec.strand.executed_total"), 41u);
 }
