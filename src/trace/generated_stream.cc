@@ -56,12 +56,14 @@ void GeneratedStream::PumpLocked() {
 }
 
 void GeneratedStream::ProduceOne() {
-  // windows_ is only ever touched here in pooled mode, and at most one
-  // producer task is in flight (producer_running_), so no lock is needed for
-  // the generation itself.
-  std::vector<Request> window;
+  // windows_ and scratch_ are only ever touched here in pooled mode, and at
+  // most one producer task is in flight (producer_running_), so no lock is
+  // needed for the generation itself. The window is generated into scratch_,
+  // which keeps its capacity, and parked as an exact-size copy.
   const uint64_t t0 = NowNs();
-  const bool more = windows_.NextWindow(&window);
+  scratch_.clear();
+  const bool more = windows_.NextWindow(&scratch_);
+  std::vector<Request> window(scratch_.begin(), scratch_.end());
   const uint64_t elapsed = NowNs() - t0;
 
   std::lock_guard<std::mutex> lock(mu_);

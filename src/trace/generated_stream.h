@@ -92,6 +92,9 @@ class GeneratedStream final : public RequestStream {
   size_t cursor_ = 0;
   bool inline_done_ = false;
 
+  // Producer-owned buffer the pooled mode generates each window into.
+  std::vector<Request> scratch_;
+
   // Pooled-mode state, all guarded by mu_ (windows_ itself is touched only
   // by the producer task in this mode, and producer tasks are serialized).
   std::mutex mu_;

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -22,6 +23,52 @@ constexpr double kSecondsPerWeek = 7.0 * kSecondsPerDay;
 constexpr double kCatalogHistorySeconds = 45.0 * kSecondsPerDay;
 // Minimum bytes a view consumes (a player fetches at least its startup buffer).
 constexpr uint64_t kMinViewBytes = 64ull << 10;
+// A transient past its ramp leaves the window scan once its weight is this
+// far below the floor: its weight only decays from then on, and the margin
+// keeps rounding from retiring a video a later window would still admit.
+constexpr double kRetireBelowFloor = 1.0 - 1e-9;
+// Widening of the thinning-acceptance bounds; covers the rounding of the
+// phases and of sin() at the window's edges many times over.
+constexpr double kAcceptanceMargin = 1e-7;
+
+// Phases of DiurnalFactor's daily and weekly sines at absolute time t,
+// computed exactly as DiurnalFactor computes them.
+double DailyPhase(const ServerProfile& profile, double t) {
+  double local = t + profile.timezone_offset_hours * 3600.0;
+  return 2.0 * M_PI * (local / kSecondsPerDay) - 2.0 * M_PI * 14.0 / 24.0;
+}
+double WeeklyPhase(const ServerProfile& profile, double t) {
+  double local = t + profile.timezone_offset_hours * 3600.0;
+  return 2.0 * M_PI * local / kSecondsPerWeek;
+}
+
+// Envelope rate of the thinning: the diurnal factor never exceeds
+// 1 + amplitude + 0.08.
+double LambdaMax(const ServerProfile& profile) {
+  return profile.base_request_rate * (1.0 + profile.diurnal_amplitude + 0.1);
+}
+
+// Range of sin over the phase interval [x0, x1]: the endpoints, or +-1 where
+// a crest (pi/2 + 2 pi k) or trough (-pi/2 + 2 pi k) falls inside.
+struct SineRange {
+  double lo;
+  double hi;
+};
+SineRange SineRangeOver(double x0, double x1) {
+  VCDN_DCHECK(x0 <= x1);
+  auto holds = [&](double extremum) {
+    double k = std::ceil((x0 - extremum) / (2.0 * M_PI));
+    return extremum + 2.0 * M_PI * k <= x1;
+  };
+  SineRange range{std::min(std::sin(x0), std::sin(x1)), std::max(std::sin(x0), std::sin(x1))};
+  if (x1 - x0 >= 2.0 * M_PI || holds(0.5 * M_PI)) {
+    range.hi = 1.0;
+  }
+  if (x1 - x0 >= 2.0 * M_PI || holds(-0.5 * M_PI)) {
+    range.lo = -1.0;
+  }
+  return range;
+}
 
 // Distinct PCG32 stream ids so that each aspect of generation has an
 // independent, reproducible random sequence.
@@ -55,7 +102,7 @@ WindowedWorkload::WindowedWorkload(WorkloadConfig config)
 
   const ServerProfile& profile = config_.profile;
   util::Pcg32 catalog_rng(config_.seed, kStreamCatalog);
-  lambda_max_ = profile.base_request_rate * (1.0 + profile.diurnal_amplitude + 0.1);
+  lambda_max_ = LambdaMax(profile);
 
   auto make_video = [&](VideoId id, double birth) {
     VideoMeta v;
@@ -96,6 +143,13 @@ WindowedWorkload::WindowedWorkload(WorkloadConfig config)
       t += util::SampleExponential(catalog_rng, 1.0 / upload_rate);
     }
   }
+  // NextWindow admits videos to its scan in catalog order and stops at the
+  // first one not yet born, so uploads must follow the pre-existing entries
+  // (all born before the trace starts) in birth order.
+  VCDN_DCHECK(std::is_sorted(catalog_.videos.begin() + static_cast<ptrdiff_t>(profile.catalog_size),
+                             catalog_.videos.end(), [](const VideoMeta& a, const VideoMeta& b) {
+                               return a.birth_time < b.birth_time;
+                             }));
 }
 
 bool WindowedWorkload::NextWindow(std::vector<Request>* out) {
@@ -107,34 +161,65 @@ bool WindowedWorkload::NextWindow(std::vector<Request>* out) {
       std::min(window_start_ + config_.popularity_refresh_seconds, config_.duration_seconds);
   double window_mid = 0.5 * (window_start_ + window_end);
 
-  // Rebuild the sampling table from demand weights at the window midpoint.
-  active_ids_.clear();
-  active_weights_.clear();
-  for (const VideoMeta& v : catalog_.videos) {
-    double w = WorkloadGenerator::VideoWeightAt(v, window_mid, config_);
-    if (w > config_.weight_floor_fraction * v.base_weight && w > 0.0) {
-      active_ids_.push_back(v.id);
-      active_weights_.push_back(w);
-    }
+  // Videos born by the midpoint join the scan; the rest weigh 0 this window.
+  while (next_unborn_ < catalog_.videos.size() &&
+         catalog_.videos[next_unborn_].birth_time <= window_mid) {
+    live_.push_back(static_cast<uint32_t>(next_unborn_++));
   }
+
+  // Rebuild the sampling table from demand weights at the window midpoint,
+  // and retire the transients that perished for good: past the ramp and
+  // clearly below the floor, a transient's weight only decays.
+  active_ids_.clear();
+  std::vector<double> weights;
+  weights.reserve(live_.size());
+  size_t kept = 0;
+  for (uint32_t id : live_) {
+    const VideoMeta& v = catalog_.videos[id];
+    double w = WorkloadGenerator::VideoWeightAt(v, window_mid, config_);
+    double floor = config_.weight_floor_fraction * v.base_weight;
+    if (w > floor && w > 0.0) {
+      active_ids_.push_back(id);
+      weights.push_back(w);
+    } else if (v.video_class == VideoClass::kTransient &&
+               window_mid - v.birth_time >= config_.new_video_ramp_seconds &&
+               w < floor * kRetireBelowFloor) {
+      continue;
+    }
+    live_[kept++] = id;
+  }
+  live_.resize(kept);
   if (active_ids_.empty()) {
     window_start_ += config_.popularity_refresh_seconds;
     return true;
   }
-  util::AliasTable table(active_weights_);
+  util::AliasTable table(std::move(weights));
+
+  // The thinning acceptance probability is strictly inside (0, 1), so
+  // NextBool(accept) would draw exactly one double. Draw it here and settle
+  // it against the window's bounds, evaluating the diurnal factor only for
+  // draws that fall between them.
+  const WorkloadGenerator::AcceptanceBounds bounds =
+      WorkloadGenerator::AcceptanceBoundsOver(profile, window_start_, window_end);
+  VCDN_CHECK(0.0 < bounds.lo && bounds.lo <= bounds.hi && bounds.hi < 1.0);
+  const double mean_gap = 1.0 / lambda_max_;
 
   // Request arrivals: non-homogeneous Poisson process sampled by thinning
   // against the maximum rate.
   double t = window_start_;
   for (;;) {
-    t += util::SampleExponential(arrival_rng_, 1.0 / lambda_max_);
+    t += util::SampleExponential(arrival_rng_, mean_gap);
     if (t >= window_end) {
       break;
     }
-    // Thinning acceptance for the diurnal/weekly modulated rate.
-    double accept =
-        profile.base_request_rate * WorkloadGenerator::DiurnalFactor(profile, t) / lambda_max_;
-    if (!arrival_rng_.NextBool(accept)) {
+    const double draw = arrival_rng_.NextDouble();
+    const bool accepted = draw < bounds.lo ||
+                          (draw < bounds.hi && draw < WorkloadGenerator::AcceptanceAt(profile, t));
+#ifndef NDEBUG
+    const double exact = WorkloadGenerator::AcceptanceAt(profile, t);
+    VCDN_DCHECK(bounds.lo <= exact && exact <= bounds.hi && accepted == (draw < exact));
+#endif
+    if (!accepted) {
       continue;
     }
 
@@ -175,15 +260,30 @@ bool WindowedWorkload::NextWindow(std::vector<Request>* out) {
 
 double WorkloadGenerator::DiurnalFactor(const ServerProfile& profile, double t) {
   // Server-local time-of-day; demand peaks at ~20:00 local and bottoms out at
-  // ~08:00 local. A mild weekly swing is superimposed.
-  double local = t + profile.timezone_offset_hours * 3600.0;
-  double day_phase = 2.0 * M_PI * (local / kSecondsPerDay);
-  // sin peaks when local time-of-day == 20h: shift by 14h (sin peaks at
-  // phase pi/2, i.e. 6h after the shifted origin).
-  double daily = std::sin(day_phase - 2.0 * M_PI * 14.0 / 24.0);
-  double weekly = 0.08 * std::sin(2.0 * M_PI * local / kSecondsPerWeek);
+  // ~08:00 local (the daily phase is shifted by 14h: sin peaks at phase pi/2,
+  // i.e. 6h after the shifted origin). A mild weekly swing is superimposed.
+  double daily = std::sin(DailyPhase(profile, t));
+  double weekly = 0.08 * std::sin(WeeklyPhase(profile, t));
   double factor = 1.0 + profile.diurnal_amplitude * daily + weekly;
   return std::max(factor, 0.05);
+}
+
+double WorkloadGenerator::AcceptanceAt(const ServerProfile& profile, double t) {
+  return profile.base_request_rate * DiurnalFactor(profile, t) / LambdaMax(profile);
+}
+
+WorkloadGenerator::AcceptanceBounds WorkloadGenerator::AcceptanceBoundsOver(
+    const ServerProfile& profile, double t0, double t1) {
+  VCDN_CHECK(t0 <= t1);
+  // Every step from the sines to the acceptance is monotone, so the sines'
+  // ranges bound it; max(., 0.05) mirrors DiurnalFactor's floor.
+  SineRange daily = SineRangeOver(DailyPhase(profile, t0), DailyPhase(profile, t1));
+  SineRange weekly = SineRangeOver(WeeklyPhase(profile, t0), WeeklyPhase(profile, t1));
+  double factor_lo = 1.0 + profile.diurnal_amplitude * daily.lo + 0.08 * weekly.lo;
+  double factor_hi = 1.0 + profile.diurnal_amplitude * daily.hi + 0.08 * weekly.hi;
+  double lambda_max = LambdaMax(profile);
+  return {profile.base_request_rate * std::max(factor_lo, 0.05) / lambda_max - kAcceptanceMargin,
+          profile.base_request_rate * std::max(factor_hi, 0.05) / lambda_max + kAcceptanceMargin};
 }
 
 double WorkloadGenerator::VideoWeightAt(const VideoMeta& video, double t,

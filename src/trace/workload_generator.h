@@ -92,9 +92,13 @@ class WindowedWorkload {
   util::Pcg32 range_rng_;
   double lambda_max_;
   double window_start_ = 0.0;
-  // Scratch reused across windows to avoid per-window allocation.
-  std::vector<VideoId> active_ids_;
-  std::vector<double> active_weights_;
+  // The scan list: ids of videos born by the last window's midpoint and not
+  // yet perished, in catalog order (the alias table depends on that order).
+  // Videos enter it in catalog order from next_unborn_.
+  std::vector<uint32_t> live_;
+  size_t next_unborn_ = 0;
+  // Scratch reused across windows: the ids behind the window's alias table.
+  std::vector<uint32_t> active_ids_;
 };
 
 class WorkloadGenerator {
@@ -111,6 +115,21 @@ class WorkloadGenerator {
   // Demand weight of a video at time t given its metadata (0 before birth,
   // ramp after upload, exponential decay for transients). Exposed for tests.
   static double VideoWeightAt(const VideoMeta& video, double t, const WorkloadConfig& config);
+
+  // Thinning acceptance probability at t: the modulated request rate over
+  // the envelope rate base_request_rate * (1 + diurnal_amplitude + 0.1).
+  // Always strictly inside (0, 1). Exposed for tests.
+  static double AcceptanceAt(const ServerProfile& profile, double t);
+
+  // Bounds on AcceptanceAt over [t0, t1], from the range of each sine over
+  // its phase interval, widened by a margin that covers rounding. The window
+  // engine settles most thinning draws against them without evaluating the
+  // sines. Exposed for tests.
+  struct AcceptanceBounds {
+    double lo;
+    double hi;
+  };
+  static AcceptanceBounds AcceptanceBoundsOver(const ServerProfile& profile, double t0, double t1);
 
  private:
   WorkloadConfig config_;

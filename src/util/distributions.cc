@@ -4,17 +4,13 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "src/util/check.h"
 
 namespace vcdn::util {
-
-double SampleExponential(Pcg32& rng, double mean) {
-  VCDN_CHECK(mean > 0.0);
-  // 1 - u in (0, 1] avoids log(0).
-  double u = 1.0 - rng.NextDouble();
-  return -mean * std::log(u);
-}
 
 double SampleStandardNormal(Pcg32& rng) {
   // Box-Muller, cosine branch only so that exactly two uniforms are consumed
@@ -36,64 +32,12 @@ double SamplePareto(Pcg32& rng, double x_m, double alpha) {
   return x_m / std::pow(u, 1.0 / alpha);
 }
 
-// --- ZipfDistribution ------------------------------------------------------
-//
-// Rejection-inversion sampling for the Zipf distribution (W. Hoermann and
-// G. Derflinger, "Rejection-inversion to generate variates from monotone
-// discrete distributions", 1996). H below is the integral of the density
-// 1/x^s, extended continuously; sampling inverts H over [H(1.5), H(n+0.5)]
-// and rejects to correct for discretization.
-
-ZipfDistribution::ZipfDistribution(uint64_t n, double s) : n_(n), s_(s) {
-  VCDN_CHECK(n >= 1);
-  VCDN_CHECK(s >= 0.0);
-  h_x1_ = H(1.5) - 1.0;
-  h_n_ = H(static_cast<double>(n) + 0.5);
-  threshold_ = 2.0 - HInverse(H(2.5) - std::pow(2.0, -s));
-}
-
-double ZipfDistribution::H(double x) const {
-  if (s_ == 1.0) {
-    return std::log(x);
-  }
-  return std::pow(x, 1.0 - s_) / (1.0 - s_);
-}
-
-double ZipfDistribution::HInverse(double x) const {
-  if (s_ == 1.0) {
-    return std::exp(x);
-  }
-  return std::pow((1.0 - s_) * x, 1.0 / (1.0 - s_));
-}
-
-uint64_t ZipfDistribution::Sample(Pcg32& rng) const {
-  if (n_ == 1) {
-    return 1;
-  }
-  for (;;) {
-    double u = h_x1_ + rng.NextDouble() * (h_n_ - h_x1_);
-    double x = HInverse(u);
-    auto k = static_cast<uint64_t>(x + 0.5);
-    if (k < 1) {
-      k = 1;
-    } else if (k > n_) {
-      k = n_;
-    }
-    double kd = static_cast<double>(k);
-    if (kd - x <= threshold_ || u >= H(kd + 0.5) - std::pow(kd, -s_)) {
-      return k;
-    }
-  }
-}
-
 // --- AliasTable -------------------------------------------------------------
 
-AliasTable::AliasTable(const std::vector<double>& weights) {
+void AliasTable::Rebuild(std::vector<double> weights) {
   VCDN_CHECK(!weights.empty());
-  size_t n = weights.size();
-  probability_.resize(n);
-  alias_.resize(n);
-
+  VCDN_CHECK(weights.size() <= UINT32_MAX);
+  const size_t n = weights.size();
   double total = 0.0;
   for (double w : weights) {
     VCDN_CHECK(w >= 0.0);
@@ -101,50 +45,50 @@ AliasTable::AliasTable(const std::vector<double>& weights) {
   }
   VCDN_CHECK(total > 0.0);
 
-  // Scaled probabilities; Vose's stable partition into small/large stacks.
-  std::vector<double> scaled(n);
-  std::vector<uint32_t> small;
-  std::vector<uint32_t> large;
-  small.reserve(n);
-  large.reserve(n);
-  double scale = static_cast<double>(n) / total;
+  probability_ = std::move(weights);
+  alias_.resize(n);
+  columns_ = static_cast<uint32_t>(n);
+  threshold_ = static_cast<uint32_t>(-columns_) % columns_;
+
+  // Vose's construction on scaled weights (mean 1). Its two LIFO work stacks
+  // share one array: indices below 1 grow up from the front, the rest down
+  // from the back; together they never hold more than n indices.
+  double* scaled = probability_.data();
+  std::vector<uint32_t> work(n);
+  size_t small = 0;  // work[0, small)
+  size_t large = n;  // work[large, n)
+  const double scale = static_cast<double>(n) / total;
   for (size_t i = 0; i < n; ++i) {
-    scaled[i] = weights[i] * scale;
+    scaled[i] *= scale;
     if (scaled[i] < 1.0) {
-      small.push_back(static_cast<uint32_t>(i));
+      work[small++] = static_cast<uint32_t>(i);
     } else {
-      large.push_back(static_cast<uint32_t>(i));
+      work[--large] = static_cast<uint32_t>(i);
     }
   }
 
-  while (!small.empty() && !large.empty()) {
-    uint32_t s = small.back();
-    small.pop_back();
-    uint32_t l = large.back();
-    large.pop_back();
-    probability_[s] = scaled[s];
+  // Each small column is finished as soon as it is paired: its scaled weight
+  // stays in place as its probability, and a large column tops it up.
+  while (small > 0 && large < n) {
+    const uint32_t s = work[--small];
+    const uint32_t l = work[large++];
     alias_[s] = l;
     scaled[l] = (scaled[l] + scaled[s]) - 1.0;
     if (scaled[l] < 1.0) {
-      small.push_back(l);
+      work[small++] = l;
     } else {
-      large.push_back(l);
+      work[--large] = l;
     }
   }
   // Numerical leftovers all get probability 1.
-  for (uint32_t l : large) {
-    probability_[l] = 1.0;
-    alias_[l] = l;
+  for (size_t k = 0; k < small; ++k) {
+    scaled[work[k]] = 1.0;
+    alias_[work[k]] = work[k];
   }
-  for (uint32_t s : small) {
-    probability_[s] = 1.0;
-    alias_[s] = s;
+  for (size_t k = large; k < n; ++k) {
+    scaled[work[k]] = 1.0;
+    alias_[work[k]] = work[k];
   }
-}
-
-size_t AliasTable::Sample(Pcg32& rng) const {
-  auto column = static_cast<size_t>(rng.NextBounded(static_cast<uint32_t>(probability_.size())));
-  return rng.NextDouble() < probability_[column] ? column : alias_[column];
 }
 
 }  // namespace vcdn::util

@@ -6,35 +6,12 @@
 
 namespace vcdn::util {
 
-namespace {
-constexpr uint64_t kPcgMultiplier = 6364136223846793005ULL;
-}  // namespace
-
 Pcg32::Pcg32(uint64_t seed, uint64_t stream) {
   inc_ = (stream << 1u) | 1u;
   state_ = 0;
   (void)Next();
   state_ += seed;
   (void)Next();
-}
-
-uint32_t Pcg32::Next() {
-  uint64_t old = state_;
-  state_ = old * kPcgMultiplier + inc_;
-  auto xorshifted = static_cast<uint32_t>(((old >> 18u) ^ old) >> 27u);
-  auto rot = static_cast<uint32_t>(old >> 59u);
-  return (xorshifted >> rot) | (xorshifted << ((32u - rot) & 31u));
-}
-
-uint64_t Pcg32::Next64() {
-  uint64_t hi = Next();
-  uint64_t lo = Next();
-  return (hi << 32) | lo;
-}
-
-double Pcg32::NextDouble() {
-  // 53 random bits scaled into [0, 1).
-  return static_cast<double>(Next64() >> 11) * 0x1.0p-53;
 }
 
 uint32_t Pcg32::NextBounded(uint32_t bound) {
@@ -47,16 +24,6 @@ uint32_t Pcg32::NextBounded(uint32_t bound) {
       return r % bound;
     }
   }
-}
-
-bool Pcg32::NextBool(double p) {
-  if (p <= 0.0) {
-    return false;
-  }
-  if (p >= 1.0) {
-    return true;
-  }
-  return NextDouble() < p;
 }
 
 }  // namespace vcdn::util

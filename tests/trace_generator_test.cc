@@ -6,10 +6,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "src/exec/thread_pool.h"
+#include "src/trace/generated_stream.h"
 #include "src/trace/server_profile.h"
+#include "src/trace/trace_file.h"
+#include "src/util/rng.h"
 
 namespace vcdn::trace {
 namespace {
@@ -132,6 +137,42 @@ TEST(WorkloadGeneratorTest, DiurnalFactorShiftsWithTimezone) {
             WorkloadGenerator::DiurnalFactor(utc, 12.0 * 3600.0));
 }
 
+TEST(WorkloadGeneratorTest, AcceptanceBoundsContainTheExactAcceptance) {
+  // The window engine settles thinning draws against these bounds, so they
+  // must hold the exact acceptance at every t of every window, stay strictly
+  // inside (0, 1), and be tight: |sin x - sin y| <= |x - y| caps their width.
+  const double duration = 9.3 * 86400.0;  // no refresh below divides it
+  for (double timezone : {-11.5, -3.0, 0.0, 5.5, 9.0, 13.75}) {
+    for (double amplitude : {0.0, 0.3, 0.55, 0.8, 0.97}) {
+      for (double refresh_hours : {1.0, 5.0, 6.0, 7.0, 24.0}) {
+        SCOPED_TRACE(testing::Message() << "timezone " << timezone << " amplitude " << amplitude
+                                        << " refresh " << refresh_hours << "h");
+        ServerProfile profile = EuropeProfile();
+        profile.timezone_offset_hours = timezone;
+        profile.diurnal_amplitude = amplitude;
+        const double refresh = refresh_hours * 3600.0;
+        const double envelope = 1.0 + amplitude + 0.1;
+        for (double start = 0.0; start < duration; start += refresh) {
+          const double end = std::min(start + refresh, duration);
+          const auto bounds = WorkloadGenerator::AcceptanceBoundsOver(profile, start, end);
+          ASSERT_GT(bounds.lo, 0.0);
+          ASSERT_LT(bounds.hi, 1.0);
+          const double daily_span = std::min(2.0, 2.0 * M_PI * (end - start) / 86400.0);
+          const double weekly_span = std::min(2.0, 2.0 * M_PI * (end - start) / (7 * 86400.0));
+          EXPECT_LE(bounds.hi - bounds.lo,
+                    (amplitude * daily_span + 0.08 * weekly_span) / envelope + 3e-7);
+          for (int k = 0; k <= 64; ++k) {
+            const double t = start + (end - start) * k / 64.0;
+            const double exact = WorkloadGenerator::AcceptanceAt(profile, t);
+            ASSERT_LE(bounds.lo, exact) << "t " << t;
+            ASSERT_LE(exact, bounds.hi) << "t " << t;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(WorkloadGeneratorTest, VideoWeightRampAndDecay) {
   WorkloadConfig config = SmallConfig();
   VideoMeta v;
@@ -246,6 +287,115 @@ TEST(WorkloadGeneratorTest, SixProfilesHaveDistinctCharacter) {
   // Smaller Pareto shape = heavier weight tail = demand concentrated on few
   // hot videos (Asia); larger = flatter/more diverse (South America).
   EXPECT_LT(asia.popularity_shape, south_america.popularity_shape);
+}
+
+
+// --- Golden pins ------------------------------------------------------------
+//
+// RequestDigest and request count of Generate() for configurations that
+// exercise every branch of the window engine: churn, ramps, weight floors,
+// refresh cadences that do and do not divide the duration, flat and deep
+// diurnal swings, a negative timezone, heavy short-lived uploads and a trace
+// long enough for the whole pre-existing transient catalog to perish. The
+// engine's fast paths (live-set scan, in-place alias rebuild, squeezed
+// thinning test) must reproduce every draw and every floating-point value, so
+// these values never move unless the generator's model does. A pooled
+// GeneratedStream runs the same engine and must match each pin too.
+
+struct GeneratorPin {
+  std::string name;
+  WorkloadConfig config;
+  uint64_t digest;
+  uint64_t count;
+};
+
+void ExpectPinned(const GeneratorPin& pin, exec::ThreadPool& generator_pool) {
+  SCOPED_TRACE(pin.name);
+  RequestDigest generated;
+  const Trace trace = WorkloadGenerator(pin.config).Generate().trace;
+  generated.Fold(trace.requests.data(), trace.requests.size());
+  EXPECT_EQ(generated.value(), pin.digest) << std::hex << "0x" << generated.value();
+  EXPECT_EQ(generated.count(), pin.count);
+
+  GeneratedStreamOptions options;
+  options.generator_pool = &generator_pool;
+  GeneratedStream stream(pin.config, options);
+  RequestDigest streamed;
+  for (RequestSpan span = stream.Next(4096); !span.empty(); span = stream.Next(4096)) {
+    streamed.Fold(span.data, span.count);
+  }
+  EXPECT_EQ(streamed.value(), pin.digest) << std::hex << "0x" << streamed.value();
+  EXPECT_EQ(streamed.count(), pin.count);
+}
+
+exec::ThreadPoolOptions TwoWorkers() {
+  exec::ThreadPoolOptions options;
+  options.num_threads = 2;
+  return options;
+}
+
+TEST(GeneratorPinTest, SixPaperServersOverThirtyDays) {
+  const uint64_t digests[] = {0x618bf372ea730d9fULL, 0x25c8dd79ed2fd5d8ULL, 0x493de9d59d60d5bdULL,
+                              0xb0fc175d05d1e651ULL, 0x66db3554235f449dULL, 0xe8b2b4c03182f3faULL};
+  const uint64_t counts[] = {71277, 104243, 77999, 129809, 175064, 221418};
+  exec::ThreadPool generator_pool(TwoWorkers());
+  const std::vector<ServerProfile> profiles = PaperServerProfiles(0.25);
+  ASSERT_EQ(profiles.size(), 6u);
+  for (size_t i = 0; i < profiles.size(); ++i) {
+    WorkloadConfig config;
+    config.profile = profiles[i];
+    config.seed = util::SplitSeed(7, i);
+    config.duration_seconds = 30.0 * 86400.0;
+    ExpectPinned({profiles[i].name, config, digests[i], counts[i]}, generator_pool);
+  }
+}
+
+TEST(GeneratorPinTest, EuropeVariants) {
+  auto europe = [](void (*mutate)(WorkloadConfig&)) {
+    WorkloadConfig config;
+    config.profile = EuropeProfile(0.1);
+    config.seed = 3;
+    config.duration_seconds = 2.5 * 86400.0;
+    mutate(config);
+    return config;
+  };
+  const std::vector<GeneratorPin> pins = {
+      {"defaults", europe([](WorkloadConfig&) {}), 0x451cdaf2bf5e1cebULL, 4251},
+      {"no ramp", europe([](WorkloadConfig& c) { c.new_video_ramp_seconds = 0.0; }),
+       0xfabac6020f01fdf4ULL, 4250},
+      {"floor 0", europe([](WorkloadConfig& c) { c.weight_floor_fraction = 0.0; }),
+       0xa919d02b6805f903ULL, 4251},
+      {"floor 0.5", europe([](WorkloadConfig& c) { c.weight_floor_fraction = 0.5; }),
+       0xf2535a98860166edULL, 4251},
+      {"all transient", europe([](WorkloadConfig& c) { c.profile.evergreen_fraction = 0.0; }),
+       0x4406cc1c3b324a4dULL, 4217},
+      {"refresh 1h", europe([](WorkloadConfig& c) { c.popularity_refresh_seconds = 3600.0; }),
+       0x5e219d975eb0bdbbULL, 4275},
+      {"refresh 7h",
+       europe([](WorkloadConfig& c) { c.popularity_refresh_seconds = 7.0 * 3600.0; }),
+       0x2c652614553f8fe7ULL, 4236},
+      {"refresh 24h",
+       europe([](WorkloadConfig& c) { c.popularity_refresh_seconds = 24.0 * 3600.0; }),
+       0x42a56e18679c5b13ULL, 4280},
+      {"flat diurnal", europe([](WorkloadConfig& c) { c.profile.diurnal_amplitude = 0.0; }),
+       0xce341e0127865022ULL, 4501},
+      {"deep diurnal", europe([](WorkloadConfig& c) { c.profile.diurnal_amplitude = 0.97; }),
+       0xe776004db6da9adaULL, 3973},
+      {"timezone -11.5h",
+       europe([](WorkloadConfig& c) { c.profile.timezone_offset_hours = -11.5; }),
+       0x64ab2446e9ba226bULL, 4703},
+      {"heavy short-lived uploads", europe([](WorkloadConfig& c) {
+         c.profile.new_videos_per_day = 5000.0;
+         c.profile.transient_tau_days = 0.2;
+       }),
+       0x1197cbf34bc886b8ULL, 4216},
+      {"40 days", europe([](WorkloadConfig& c) { c.duration_seconds = 40.0 * 86400.0; }),
+       0x4eae5265c25f3d13ULL, 69156},
+  };
+  exec::ThreadPool generator_pool(TwoWorkers());
+  for (const GeneratorPin& pin : pins) {
+    ExpectPinned(pin, generator_pool);
+  }
 }
 
 }  // namespace

@@ -67,50 +67,6 @@ TEST(ParetoTest, SupportAndMedian) {
   EXPECT_NEAR(samples[kSamples / 2], 2.0 * std::pow(2.0, 1.0 / 1.5), 0.1);
 }
 
-class ZipfParamTest : public ::testing::TestWithParam<std::tuple<uint64_t, double>> {};
-
-TEST_P(ZipfParamTest, EmpiricalFrequenciesMatchTheory) {
-  auto [n, s] = GetParam();
-  Pcg32 rng(42);
-  ZipfDistribution zipf(n, s);
-  constexpr int kSamples = 200000;
-  std::vector<int> counts(n + 1, 0);
-  for (int i = 0; i < kSamples; ++i) {
-    uint64_t k = zipf.Sample(rng);
-    ASSERT_GE(k, 1u);
-    ASSERT_LE(k, n);
-    ++counts[k];
-  }
-  // Normalization constant.
-  double h = 0.0;
-  for (uint64_t k = 1; k <= n; ++k) {
-    h += 1.0 / std::pow(static_cast<double>(k), s);
-  }
-  // Check the head ranks (tail ranks are individually too rare to test).
-  for (uint64_t k = 1; k <= std::min<uint64_t>(n, 5); ++k) {
-    double expected = 1.0 / std::pow(static_cast<double>(k), s) / h;
-    double observed = static_cast<double>(counts[k]) / kSamples;
-    EXPECT_NEAR(observed, expected, expected * 0.08 + 0.002)
-        << "rank " << k << " n=" << n << " s=" << s;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(ZipfSweep, ZipfParamTest,
-                         ::testing::Values(std::make_tuple(10ull, 0.8),
-                                           std::make_tuple(100ull, 1.0),
-                                           std::make_tuple(1000ull, 1.2),
-                                           std::make_tuple(50ull, 0.5),
-                                           std::make_tuple(5ull, 2.0),
-                                           std::make_tuple(1ull, 1.0)));
-
-TEST(ZipfTest, SingleElementAlwaysRankOne) {
-  Pcg32 rng(9);
-  ZipfDistribution zipf(1, 1.0);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(zipf.Sample(rng), 1u);
-  }
-}
-
 TEST(AliasTableTest, MatchesWeights) {
   Pcg32 rng(5);
   std::vector<double> weights = {1.0, 2.0, 3.0, 4.0};
@@ -159,6 +115,68 @@ TEST(AliasTableTest, HeavyTailedWeights) {
   }
   double expected = 1000.0 / (1000.0 + 0.999);
   EXPECT_NEAR(static_cast<double>(head) / kSamples, expected, 0.005);
+}
+
+// Pareto weights of a given count, as the workload generator draws them.
+std::vector<double> ParetoWeights(size_t n, uint64_t seed) {
+  Pcg32 rng(seed);
+  std::vector<double> weights(n);
+  for (double& w : weights) {
+    w = SamplePareto(rng, 1.0, 1.05);
+  }
+  return weights;
+}
+
+TEST(AliasTableTest, RebuildMatchesAFreshTable) {
+  // One table rebuilt over growing and shrinking weight vectors draws
+  // exactly what a freshly built table draws, and leaves the generator in
+  // the same state.
+  AliasTable reused;
+  for (size_t n : {1u, 7u, 1000u, 3u, 50000u, 2u, 4096u, 1u, 777u}) {
+    SCOPED_TRACE(n);
+    const std::vector<double> weights = ParetoWeights(n, n);
+    reused.Rebuild(weights);
+    const AliasTable fresh(weights);
+    ASSERT_EQ(reused.size(), n);
+    Pcg32 a(11, n);
+    Pcg32 b(11, n);
+    for (int i = 0; i < 2000; ++i) {
+      ASSERT_EQ(reused.Sample(a), fresh.Sample(b));
+    }
+    EXPECT_EQ(a.Next64(), b.Next64());
+  }
+}
+
+TEST(AliasTableTest, SampleDrawsABoundedColumnThenADouble) {
+  // Sample consumes exactly NextBounded(size()) followed by NextDouble(),
+  // including the draws NextBounded rejects to avoid modulo bias. For 99876
+  // columns the rejection threshold (2^32 mod 99876 = 99544) is hit about
+  // once per 43K draws; `shadow` counts the rejections to prove they occur.
+  for (size_t n : {1u, 3u, 10u, 99876u}) {
+    SCOPED_TRACE(n);
+    const AliasTable table(ParetoWeights(n, 5));
+    const auto columns = static_cast<uint32_t>(n);
+    const uint32_t threshold = static_cast<uint32_t>(-columns) % columns;
+    Pcg32 sampled(21, n);
+    Pcg32 reference(21, n);
+    Pcg32 shadow(21, n);
+    int rejected = 0;
+    for (int i = 0; i < 200000; ++i) {
+      ASSERT_LT(table.Sample(sampled), n);
+      (void)reference.NextBounded(columns);
+      (void)reference.NextDouble();
+      while (shadow.Next() < threshold) {
+        ++rejected;
+      }
+      (void)shadow.NextDouble();
+    }
+    const uint64_t next = sampled.Next64();
+    EXPECT_EQ(next, reference.Next64());
+    EXPECT_EQ(next, shadow.Next64());
+    if (n == 99876u) {
+      EXPECT_GT(rejected, 0);
+    }
+  }
 }
 
 }  // namespace
